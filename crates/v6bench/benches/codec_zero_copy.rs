@@ -1,16 +1,14 @@
-//! Zero-copy codec microbenchmarks: the borrowed view layer against the
-//! owned decoders it must match byte-for-byte (see the conformance suites),
-//! plus the scalar/SWAR checksum kernels.
+//! Zero-copy codec microbenchmarks: the frame and DNS parsers and the
+//! scalar/SWAR checksum kernels.
 //!
 //! Inputs are the committed conformance corpus, so the numbers describe the
-//! exact frames the differential suite proves equivalence on.
+//! exact frames the conformance suites pin.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use v6dns::{Message, MessageView};
+use v6dns::MessageView;
 use v6wire::checksum::{checksum_with, Kernel};
 use v6wire::packet::summarize;
 use v6wire::view::FrameView;
-use v6wire::ParsedFrame;
 
 const FRAMES: &[&[u8]] = &[
     include_bytes!("../../../tests/corpus/frame_dhcp_discover_opt108.bin"),
@@ -35,13 +33,6 @@ const MESSAGES: &[&[u8]] = &[
 fn bench_wire_parse(c: &mut Criterion) {
     let mut g = c.benchmark_group("codec_zero_copy/wire");
     g.throughput(Throughput::Elements(FRAMES.len() as u64));
-    g.bench_function("parse_owned", |b| {
-        b.iter(|| {
-            for f in FRAMES {
-                std::hint::black_box(ParsedFrame::parse(f).unwrap());
-            }
-        })
-    });
     g.bench_function("parse_view", |b| {
         b.iter(|| {
             for f in FRAMES {
@@ -62,13 +53,6 @@ fn bench_wire_parse(c: &mut Criterion) {
 fn bench_dns_decode(c: &mut Criterion) {
     let mut g = c.benchmark_group("codec_zero_copy/dns");
     g.throughput(Throughput::Elements(MESSAGES.len() as u64));
-    g.bench_function("decode_owned", |b| {
-        b.iter(|| {
-            for m in MESSAGES {
-                std::hint::black_box(Message::decode(m).unwrap());
-            }
-        })
-    });
     g.bench_function("parse_view", |b| {
         b.iter(|| {
             for m in MESSAGES {

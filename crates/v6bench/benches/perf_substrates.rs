@@ -15,6 +15,7 @@ use v6dns::codec::{Message, Question, RData, RType, Record};
 use v6dns::dns64::Dns64;
 use v6dns::name::DnsName;
 use v6dns::server::{GlobalDns, Resolver};
+use v6dns::view::MessageView;
 use v6dns::zone::Zone;
 use v6host::profiles::OsProfile;
 use v6testbed::Testbed;
@@ -48,8 +49,8 @@ fn bench_dns_codec(c: &mut Criterion) {
     let mut g = c.benchmark_group("dns_codec");
     g.throughput(Throughput::Bytes(bytes.len() as u64));
     g.bench_function("encode", |b| b.iter(|| black_box(msg.encode())));
-    g.bench_function("decode", |b| {
-        b.iter(|| black_box(Message::decode(&bytes).unwrap()))
+    g.bench_function("parse_view", |b| {
+        b.iter(|| black_box(MessageView::parse(&bytes).unwrap()))
     });
     g.finish();
 }
@@ -168,7 +169,7 @@ fn bench_wire(c: &mut Criterion) {
         &d,
     );
     g.bench_function("full_frame_parse", |b| {
-        b.iter(|| black_box(v6wire::packet::ParsedFrame::parse(&frame).unwrap()))
+        b.iter(|| black_box(v6wire::view::FrameView::parse(&frame).unwrap()))
     });
     g.finish();
 }

@@ -1,11 +1,12 @@
-//! RFC 1035 message wire format with name compression.
+//! RFC 1035 message types and their encoder, with name compression.
+//! Parsing is [`crate::view::MessageView`].
 
 use crate::name::DnsName;
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 use v6wire::fasthash::FastMap;
 
-/// Decoding errors.
+/// Parse errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DnsError {
     /// Ran out of bytes decoding `what`.
@@ -291,16 +292,32 @@ impl Message {
 
     /// A response skeleton mirroring `query`'s id and question.
     pub fn response_to(query: &Message, rcode: Rcode) -> Message {
+        Message::response(
+            query.id,
+            query.opcode,
+            query.recursion_desired,
+            query.questions.clone(),
+            rcode,
+        )
+    }
+
+    pub(crate) fn response(
+        id: u16,
+        opcode: u8,
+        recursion_desired: bool,
+        questions: Vec<Question>,
+        rcode: Rcode,
+    ) -> Message {
         Message {
-            id: query.id,
+            id,
             is_response: true,
-            opcode: query.opcode,
+            opcode,
             authoritative: false,
             truncated: false,
-            recursion_desired: query.recursion_desired,
+            recursion_desired,
             recursion_available: true,
             rcode,
-            questions: query.questions.clone(),
+            questions,
             answers: Vec::new(),
             authorities: Vec::new(),
             additionals: Vec::new(),
@@ -374,49 +391,6 @@ impl Message {
         }
         out
     }
-
-    /// Parse from wire bytes.
-    pub fn decode(buf: &[u8]) -> Result<Message, DnsError> {
-        let mut pos = 0usize;
-        let id = read_u16(buf, &mut pos)?;
-        let b2 = read_u8(buf, &mut pos)?;
-        let b3 = read_u8(buf, &mut pos)?;
-        let qd = read_u16(buf, &mut pos)? as usize;
-        let an = read_u16(buf, &mut pos)? as usize;
-        let ns = read_u16(buf, &mut pos)? as usize;
-        let ar = read_u16(buf, &mut pos)? as usize;
-        let mut questions = Vec::with_capacity(qd);
-        for _ in 0..qd {
-            let name = decode_name(buf, &mut pos)?;
-            let rtype = RType::from_u16(read_u16(buf, &mut pos)?);
-            let _class = read_u16(buf, &mut pos)?;
-            questions.push(Question { name, rtype });
-        }
-        let read_records = |n: usize, pos: &mut usize| -> Result<Vec<Record>, DnsError> {
-            let mut out = Vec::with_capacity(n);
-            for _ in 0..n {
-                out.push(decode_record(buf, pos)?);
-            }
-            Ok(out)
-        };
-        let answers = read_records(an, &mut pos)?;
-        let authorities = read_records(ns, &mut pos)?;
-        let additionals = read_records(ar, &mut pos)?;
-        Ok(Message {
-            id,
-            is_response: b2 & 0x80 != 0,
-            opcode: (b2 >> 3) & 0x0f,
-            authoritative: b2 & 0x04 != 0,
-            truncated: b2 & 0x02 != 0,
-            recursion_desired: b2 & 0x01 != 0,
-            recursion_available: b3 & 0x80 != 0,
-            rcode: Rcode::from_u8(b3 & 0x0f),
-            questions,
-            answers,
-            authorities,
-            additionals,
-        })
-    }
 }
 
 pub(crate) fn read_u8(buf: &[u8], pos: &mut usize) -> Result<u8, DnsError> {
@@ -468,67 +442,6 @@ fn encode_name<'n>(out: &mut Vec<u8>, name: &'n DnsName, offsets: &mut FastMap<&
         out.extend_from_slice(l);
     }
     out.push(0);
-}
-
-/// Decode a possibly-compressed name starting at `*pos`; leaves `*pos` just
-/// past the name in the original stream.
-fn decode_name(buf: &[u8], pos: &mut usize) -> Result<DnsName, DnsError> {
-    let mut labels: Vec<String> = Vec::new();
-    let mut cursor = *pos;
-    let mut jumped = false;
-    let mut end_pos = *pos;
-    let mut hops = 0usize;
-    loop {
-        let len = *buf.get(cursor).ok_or(DnsError::Truncated("name"))? as usize;
-        if len & 0xc0 == 0xc0 {
-            let b2 = *buf.get(cursor + 1).ok_or(DnsError::Truncated("pointer"))? as usize;
-            let target = ((len & 0x3f) << 8) | b2;
-            if !jumped {
-                end_pos = cursor + 2;
-                jumped = true;
-            }
-            if target >= cursor {
-                return Err(DnsError::BadPointer(target));
-            }
-            hops += 1;
-            if hops > 64 {
-                return Err(DnsError::BadPointer(target));
-            }
-            cursor = target;
-            continue;
-        }
-        if len & 0xc0 != 0 {
-            return Err(DnsError::BadField("label-length", len as u64));
-        }
-        cursor += 1;
-        if len == 0 {
-            if !jumped {
-                end_pos = cursor;
-            }
-            break;
-        }
-        if cursor + len > buf.len() {
-            return Err(DnsError::Truncated("label"));
-        }
-        // Labels must be ASCII: `DnsName` stores `String` labels, and a
-        // non-ASCII byte would inflate under lossy UTF-8 conversion,
-        // desynchronising string lengths from wire lengths (the borrowed
-        // `NameRef` path checks wire lengths only). Reject at the wire
-        // level so both decode paths apply the identical rule, then
-        // lower-case in a single allocation per label.
-        let bytes = &buf[cursor..cursor + len];
-        if let Some(&bad) = bytes.iter().find(|b| !b.is_ascii()) {
-            return Err(DnsError::BadField("label-byte", bad as u64));
-        }
-        let mut label = bytes.to_vec();
-        label.make_ascii_lowercase();
-        labels.push(String::from_utf8(label).expect("ascii bytes are valid utf-8"));
-        cursor += len;
-    }
-    *pos = end_pos;
-    // Label lengths were validated during the walk (1..=63 per the 0xc0
-    // check); only the 255-octet total can still fail.
-    DnsName::from_lowercased_labels(labels).map_err(|_| DnsError::BadField("name", 0))
 }
 
 fn encode_record<'n>(out: &mut Vec<u8>, r: &'n Record, offsets: &mut FastMap<&'n [String], u16>) {
@@ -587,114 +500,14 @@ fn encode_record<'n>(out: &mut Vec<u8>, r: &'n Record, offsets: &mut FastMap<&'n
     out[len_pos..len_pos + 2].copy_from_slice(&rdlen.to_be_bytes());
 }
 
-fn decode_record(buf: &[u8], pos: &mut usize) -> Result<Record, DnsError> {
-    let name = decode_name(buf, pos)?;
-    let rtype = RType::from_u16(read_u16(buf, pos)?);
-    let class = read_u16(buf, pos)?;
-    let ttl = read_u32(buf, pos)?;
-    let rdlen = read_u16(buf, pos)? as usize;
-    if *pos + rdlen > buf.len() {
-        return Err(DnsError::Truncated("rdata"));
-    }
-    let rdata_end = *pos + rdlen;
-    let data = match rtype {
-        RType::A => {
-            if rdlen != 4 {
-                return Err(DnsError::BadField("a-rdlen", rdlen as u64));
-            }
-            let d = RData::A(Ipv4Addr::new(
-                buf[*pos],
-                buf[*pos + 1],
-                buf[*pos + 2],
-                buf[*pos + 3],
-            ));
-            *pos = rdata_end;
-            d
-        }
-        RType::Aaaa => {
-            if rdlen != 16 {
-                return Err(DnsError::BadField("aaaa-rdlen", rdlen as u64));
-            }
-            let mut o = [0u8; 16];
-            o.copy_from_slice(&buf[*pos..rdata_end]);
-            *pos = rdata_end;
-            RData::Aaaa(Ipv6Addr::from(o))
-        }
-        RType::Cname => {
-            let n = decode_name(buf, pos)?;
-            *pos = rdata_end;
-            RData::Cname(n)
-        }
-        RType::Ns => {
-            let n = decode_name(buf, pos)?;
-            *pos = rdata_end;
-            RData::Ns(n)
-        }
-        RType::Ptr => {
-            let n = decode_name(buf, pos)?;
-            *pos = rdata_end;
-            RData::Ptr(n)
-        }
-        RType::Mx => {
-            let preference = read_u16(buf, pos)?;
-            let exchange = decode_name(buf, pos)?;
-            *pos = rdata_end;
-            RData::Mx {
-                preference,
-                exchange,
-            }
-        }
-        RType::Txt => {
-            let mut strings = Vec::new();
-            while *pos < rdata_end {
-                let l = read_u8(buf, pos)? as usize;
-                if *pos + l > rdata_end {
-                    return Err(DnsError::Truncated("txt"));
-                }
-                strings.push(String::from_utf8_lossy(&buf[*pos..*pos + l]).into_owned());
-                *pos += l;
-            }
-            RData::Txt(strings)
-        }
-        RType::Soa => {
-            let mname = decode_name(buf, pos)?;
-            let rname = decode_name(buf, pos)?;
-            let serial = read_u32(buf, pos)?;
-            let refresh = read_u32(buf, pos)?;
-            let retry = read_u32(buf, pos)?;
-            let expire = read_u32(buf, pos)?;
-            let minimum = read_u32(buf, pos)?;
-            *pos = rdata_end;
-            RData::Soa {
-                mname,
-                rname,
-                serial,
-                refresh,
-                retry,
-                expire,
-                minimum,
-            }
-        }
-        RType::Opt => {
-            let d = RData::Opt {
-                payload_size: class,
-                data: buf[*pos..rdata_end].to_vec(),
-            };
-            *pos = rdata_end;
-            d
-        }
-        other => {
-            let d = RData::Raw(other.to_u16(), buf[*pos..rdata_end].to_vec());
-            *pos = rdata_end;
-            d
-        }
-    };
-    Ok(Record { name, ttl, data })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::MessageView;
+
+    fn parse(bytes: &[u8]) -> Result<Message, DnsError> {
+        MessageView::parse(bytes).map(|v| v.to_message())
+    }
 
     fn n(s: &str) -> DnsName {
         s.parse().unwrap()
@@ -715,7 +528,7 @@ mod tests {
     #[test]
     fn query_roundtrip() {
         let q = Message::query(0x1234, Question::new(n("ip6.me"), RType::A));
-        let decoded = Message::decode(&q.encode()).unwrap();
+        let decoded = parse(&q.encode()).unwrap();
         assert_eq!(decoded, q);
     }
 
@@ -767,7 +580,7 @@ mod tests {
             3600,
             RData::A("198.51.100.53".parse().unwrap()),
         )];
-        let decoded = Message::decode(&resp.encode()).unwrap();
+        let decoded = parse(&resp.encode()).unwrap();
         assert_eq!(decoded, resp);
     }
 
@@ -792,7 +605,7 @@ mod tests {
             "compression not effective: {} bytes",
             bytes.len()
         );
-        assert_eq!(Message::decode(&bytes).unwrap(), resp);
+        assert_eq!(parse(&bytes).unwrap(), resp);
     }
 
     #[test]
@@ -803,10 +616,7 @@ mod tests {
         // itself.
         bytes[12] = 0xc0;
         bytes[13] = 12;
-        assert!(matches!(
-            Message::decode(&bytes),
-            Err(DnsError::BadPointer(_))
-        ));
+        assert!(matches!(parse(&bytes), Err(DnsError::BadPointer(_))));
     }
 
     #[test]
@@ -817,7 +627,7 @@ mod tests {
         m.truncated = true;
         m.recursion_available = true;
         m.rcode = Rcode::NxDomain;
-        let d = Message::decode(&m.encode()).unwrap();
+        let d = parse(&m.encode()).unwrap();
         assert_eq!(d, m);
     }
 
@@ -849,7 +659,7 @@ mod tests {
     fn truncated_input_errors() {
         let bytes = Message::query(3, Question::new(n("ip6.me"), RType::A)).encode();
         for cut in [0, 5, 11, bytes.len() - 1] {
-            assert!(Message::decode(&bytes[..cut]).is_err(), "cut at {cut}");
+            assert!(parse(&bytes[..cut]).is_err(), "cut at {cut}");
         }
     }
 
@@ -867,7 +677,7 @@ mod tests {
             },
         ));
         let bytes = m.encode();
-        let decoded = Message::decode(&bytes).unwrap();
+        let decoded = parse(&bytes).unwrap();
         assert_eq!(decoded, m);
         assert_eq!(decoded.encode(), bytes);
         match &decoded.additionals[0].data {
@@ -888,6 +698,6 @@ mod tests {
             5,
             RData::Raw(99, vec![1, 2, 3, 4, 5]),
         ));
-        assert_eq!(Message::decode(&m.encode()).unwrap(), m);
+        assert_eq!(parse(&m.encode()).unwrap(), m);
     }
 }

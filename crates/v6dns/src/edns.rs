@@ -7,9 +7,10 @@
 //! info-codes so a resolver can tell its stub *why* resolution failed
 //! instead of leaving only a timeout to observe.
 
-use crate::codec::{Message, RData, Record};
+use crate::codec::{RData, Record};
 use crate::name::DnsName;
 use crate::server::ResolutionFailure;
+use crate::view::MessageView;
 
 /// Payload size a modern stub advertises (the DNS-flag-day-2020 value).
 pub const DEFAULT_PAYLOAD_SIZE: u16 = 1232;
@@ -90,24 +91,17 @@ pub fn ede_option(info_code: u16, extra_text: &str) -> (u16, Vec<u8>) {
     (OPTION_EDE, data)
 }
 
-/// The OPT record in a message's additional section, if any.
-pub fn find_opt(msg: &Message) -> Option<(u16, &[u8])> {
-    msg.additionals.iter().find_map(|r| match &r.data {
-        RData::Opt { payload_size, data } => Some((*payload_size, data.as_slice())),
-        _ => None,
-    })
-}
-
 /// The UDP payload size a query advertises: its OPT class field, floored
 /// at the classic 512-octet limit (RFC 6891 §6.2.3), or `None` when the
 /// query carries no OPT at all.
-pub fn advertised_payload_size(msg: &Message) -> Option<usize> {
-    find_opt(msg).map(|(size, _)| usize::from(size).max(CLASSIC_UDP_LIMIT))
+pub fn advertised_payload_size(msg: &MessageView<'_>) -> Option<usize> {
+    msg.opt()
+        .map(|(size, _)| usize::from(size).max(CLASSIC_UDP_LIMIT))
 }
 
 /// The first Extended DNS Error in a message: `(info_code, extra_text)`.
-pub fn ede_of(msg: &Message) -> Option<(u16, String)> {
-    let (_, data) = find_opt(msg)?;
+pub fn ede_of(msg: &MessageView<'_>) -> Option<(u16, String)> {
+    let (_, data) = msg.opt()?;
     decode_options(data).into_iter().find_map(|(code, body)| {
         if code == OPTION_EDE && body.len() >= 2 {
             let info = u16::from_be_bytes([body[0], body[1]]);
@@ -119,7 +113,7 @@ pub fn ede_of(msg: &Message) -> Option<(u16, String)> {
 }
 
 /// The classified resolution failure a response advertises via EDE, if any.
-pub fn failure_of(msg: &Message) -> Option<ResolutionFailure> {
+pub fn failure_of(msg: &MessageView<'_>) -> Option<ResolutionFailure> {
     let (code, _) = ede_of(msg)?;
     ResolutionFailure::from_ede_code(code)
 }
@@ -127,7 +121,7 @@ pub fn failure_of(msg: &Message) -> Option<ResolutionFailure> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{Question, RType, Rcode};
+    use crate::codec::{Message, Question, RType, Rcode};
 
     #[test]
     fn options_roundtrip() {
@@ -159,7 +153,7 @@ mod tests {
             )],
         ));
         let bytes = resp.encode();
-        let decoded = Message::decode(&bytes).unwrap();
+        let decoded = MessageView::parse(&bytes).unwrap();
         assert_eq!(failure_of(&decoded), Some(ResolutionFailure::NoAaaaGlue));
         let (code, text) = ede_of(&decoded).unwrap();
         assert_eq!(code, EDE_PRIVATE_BASE);
@@ -178,8 +172,16 @@ mod tests {
     #[test]
     fn advertised_size_floors_at_classic_limit() {
         let mut q = Message::query(2, Question::new("x.test".parse().unwrap(), RType::A));
-        assert_eq!(advertised_payload_size(&q), None);
+        let bare = q.encode();
+        assert_eq!(
+            advertised_payload_size(&MessageView::parse(&bare).unwrap()),
+            None
+        );
         q.additionals.push(opt_record(100, &[]));
-        assert_eq!(advertised_payload_size(&q), Some(CLASSIC_UDP_LIMIT));
+        let small = q.encode();
+        assert_eq!(
+            advertised_payload_size(&MessageView::parse(&small).unwrap()),
+            Some(CLASSIC_UDP_LIMIT)
+        );
     }
 }

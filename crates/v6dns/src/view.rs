@@ -1,18 +1,19 @@
-//! Borrowed, zero-copy DNS message views.
+//! The DNS parser: borrowed, zero-copy message views.
 //!
-//! [`MessageView::parse`] validates a whole RFC 1035 message in one pass —
-//! header, question section, every resource record including nested
-//! compressed names and per-type rdata shape — without allocating. Names are
-//! captured as [`NameRef`]: the message slice plus the positions of each
-//! label's length byte (the dnstrie "borrow name" technique), so label bytes
-//! are read straight from the wire on demand.
+//! [`MessageView::parse`] is the one DNS decoder. It validates a whole
+//! RFC 1035 message in one pass — header, question section, every resource
+//! record including nested compressed names and per-type rdata shape —
+//! without allocating. Names are captured as [`NameRef`]: the message slice
+//! plus the positions of each label's length byte (the dnstrie "borrow
+//! name" technique), so label bytes are read straight from the wire on
+//! demand.
 //!
-//! The contract with [`crate::codec::Message::decode`] is strict
-//! observational equality, machine-checked by `tests/conformance.rs`:
-//! `MessageView::parse` accepts exactly the inputs `Message::decode` accepts,
-//! returns the **same** [`DnsError`] value on the rest, and
-//! [`MessageView::to_message`] (which re-walks the wire with its own
-//! constructors — it never calls the owned decoder) equals the owned parse.
+//! Callers read the view directly. The owned [`Message`] is the encoder's
+//! input; [`MessageView::to_message`] and the per-item `to_*` conversions
+//! materialise it only where a value must outlive the wire buffer.
+//! `tests/conformance.rs` pins the exact outcome ([`DnsError`] value or
+//! materialised message) of every truncation and single-byte corruption of
+//! the committed corpus.
 
 use crate::codec::{
     read_u16, read_u32, read_u8, DnsError, Message, Question, RData, RType, Rcode, Record,
@@ -23,7 +24,7 @@ use std::net::{Ipv4Addr, Ipv6Addr};
 /// Max labels a [`NameRef`] records. Any name within the 255-octet total
 /// bound has at most 127 labels (each costs ≥ 2 octets), so the cap is never
 /// hit by a valid name; longer walks keep counting octets and fail the total
-/// check exactly like the owned decoder.
+/// check.
 const MAX_LABELS: usize = 128;
 
 /// A domain name borrowed from message bytes: label positions into the
@@ -37,10 +38,10 @@ pub struct NameRef<'a> {
 }
 
 impl<'a> NameRef<'a> {
-    /// Decode a possibly-compressed name starting at `*pos`; leaves `*pos`
-    /// just past the name in the original stream. Accept/reject behaviour is
-    /// identical to the owned `decode_name`, including pointer-direction,
-    /// hop-budget and total-length policy.
+    /// Parse a possibly-compressed name starting at `*pos`; leaves `*pos`
+    /// just past the name in the original stream. Pointers must point
+    /// backwards, at most 64 are followed, labels must be ASCII, and the
+    /// name must fit 255 octets.
     pub fn parse(msg: &'a [u8], pos: &mut usize) -> Result<NameRef<'a>, DnsError> {
         let mut lpos = [0u32; MAX_LABELS];
         let mut labs = 0usize;
@@ -81,8 +82,9 @@ impl<'a> NameRef<'a> {
             if cursor + len > msg.len() {
                 return Err(DnsError::Truncated("label"));
             }
-            // Same wire-level ASCII rule as the owned `decode_name`: labels
-            // holding non-ASCII bytes are rejected outright on both paths.
+            // Labels must be ASCII: `DnsName` stores `String` labels, and a
+            // non-ASCII byte would inflate under lossy UTF-8 conversion,
+            // desynchronising string lengths from wire lengths.
             if let Some(&bad) = msg[cursor..cursor + len].iter().find(|b| !b.is_ascii()) {
                 return Err(DnsError::BadField("label-byte", bad as u64));
             }
@@ -95,8 +97,6 @@ impl<'a> NameRef<'a> {
         }
         *pos = end_pos;
         if total > 255 {
-            // Same error the owned path reports when `DnsName::from_labels`
-            // rejects the total length.
             return Err(DnsError::BadField("name", 0));
         }
         Ok(NameRef {
@@ -446,8 +446,7 @@ pub struct MessageView<'a> {
 }
 
 impl<'a> MessageView<'a> {
-    /// Validate and borrow a whole message. Accepts exactly the inputs
-    /// [`Message::decode`] accepts and returns the same error on the rest.
+    /// Validate and borrow a whole message.
     pub fn parse(buf: &'a [u8]) -> Result<MessageView<'a>, DnsError> {
         let mut pos = 0usize;
         let id = read_u16(buf, &mut pos)?;
@@ -530,8 +529,28 @@ impl<'a> MessageView<'a> {
         })
     }
 
-    /// Build the owned [`Message`] by re-walking the wire (never calls
-    /// [`Message::decode`], so the two stay differentially comparable).
+    /// The first OPT pseudo-record in the additional section, as its
+    /// `(payload_size, option bytes)`.
+    pub fn opt(&self) -> Option<(u16, &'a [u8])> {
+        self.additionals().find_map(|r| match r.data {
+            RDataRef::Opt { payload_size, data } => Some((payload_size, data)),
+            _ => None,
+        })
+    }
+
+    /// A response skeleton mirroring this query's id, opcode, RD flag and
+    /// questions: [`Message::response_to`] for a parsed query.
+    pub fn response(&self, rcode: Rcode) -> Message {
+        Message::response(
+            self.id,
+            self.opcode,
+            self.recursion_desired,
+            self.questions().map(|q| q.to_question()).collect(),
+            rcode,
+        )
+    }
+
+    /// Build the owned [`Message`] by re-walking the wire.
     pub fn to_message(&self) -> Message {
         Message {
             id: self.id,
@@ -559,7 +578,7 @@ mod tests {
     }
 
     #[test]
-    fn view_matches_owned_on_compressed_response() {
+    fn compressed_response_parses_to_the_encoded_message() {
         let q = Message::query(7, Question::new(n("sc24.supercomputing.org"), RType::Any));
         let mut resp = Message::response_to(&q, Rcode::NoError);
         resp.answers = vec![
@@ -580,35 +599,29 @@ mod tests {
             ),
         ];
         let bytes = resp.encode();
-        let owned = Message::decode(&bytes).unwrap();
         let view = MessageView::parse(&bytes).unwrap();
-        assert_eq!(view.to_message(), owned);
-        assert_eq!(
-            view.aaaa_answers().collect::<Vec<_>>(),
-            owned.aaaa_answers()
-        );
+        assert_eq!(view.to_message(), resp);
+        assert_eq!(view.aaaa_answers().collect::<Vec<_>>(), resp.aaaa_answers());
     }
 
     #[test]
-    fn truncations_agree_with_owned() {
+    fn every_truncation_is_rejected() {
         let q = Message::query(3, Question::new(n("ip6.me"), RType::A));
         let bytes = q.encode();
         for cut in 0..bytes.len() {
-            let owned = Message::decode(&bytes[..cut]).err();
-            let view = MessageView::parse(&bytes[..cut]).err();
-            assert_eq!(owned, view, "cut at {cut}");
+            assert!(MessageView::parse(&bytes[..cut]).is_err(), "cut at {cut}");
         }
+        assert_eq!(
+            MessageView::parse(&[0]).err(),
+            Some(DnsError::Truncated("u16"))
+        );
     }
 
     #[test]
-    fn forward_pointer_rejected_identically() {
+    fn forward_pointer_rejected() {
         let mut bytes = Message::query(1, Question::new(n("x"), RType::A)).encode();
         bytes[12] = 0xc0;
         bytes[13] = 12;
-        assert_eq!(
-            Message::decode(&bytes).err(),
-            MessageView::parse(&bytes).err()
-        );
         assert!(matches!(
             MessageView::parse(&bytes),
             Err(DnsError::BadPointer(12))
@@ -616,7 +629,7 @@ mod tests {
     }
 
     #[test]
-    fn opt_record_view_matches_owned() {
+    fn opt_record_parses_to_the_encoded_message() {
         let mut m = Message::query(11, Question::new(n("ip6.me"), RType::Aaaa));
         m.additionals.push(Record::new(
             DnsName::root(),
@@ -627,9 +640,8 @@ mod tests {
             },
         ));
         let bytes = m.encode();
-        let owned = Message::decode(&bytes).unwrap();
         let view = MessageView::parse(&bytes).unwrap();
-        assert_eq!(view.to_message(), owned);
+        assert_eq!(view.to_message(), m);
         let first = view.additionals().next().unwrap();
         match first.data {
             RDataRef::Opt { payload_size, data } => {
@@ -638,6 +650,19 @@ mod tests {
             }
             other => panic!("expected OPT, got {other:?}"),
         }
+        assert_eq!(view.opt(), Some((4096, [0, 15, 0, 2, 0xc0, 0].as_slice())));
+    }
+
+    #[test]
+    fn response_mirrors_the_parsed_query() {
+        let mut q = Message::query(21, Question::new(n("ip6.me"), RType::A));
+        q.recursion_desired = false;
+        let bytes = q.encode();
+        let view = MessageView::parse(&bytes).unwrap();
+        assert_eq!(
+            view.response(Rcode::NxDomain),
+            Message::response_to(&q, Rcode::NxDomain)
+        );
     }
 
     #[test]

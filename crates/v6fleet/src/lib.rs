@@ -134,46 +134,11 @@ impl FleetRunner {
     pub fn run_observed(&self, scenarios: &[Scenario], observer: &dyn FleetObserver) -> FleetRun {
         let started = Instant::now();
         let mode = self.trace_mode;
-        let results: Vec<ScenarioResult> = if self.threads == 1 {
-            let mut arena = CellArena::new();
-            scenarios
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    let r = arena.run_with_trace(s, mode);
-                    observer.scenario_done(i, &r);
-                    r
-                })
-                .collect()
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let slots: Mutex<Vec<Option<ScenarioResult>>> = Mutex::new(vec![None; scenarios.len()]);
-            std::thread::scope(|scope| {
-                let workers: Vec<_> = (0..self.threads)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut arena = CellArena::new();
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some(s) = scenarios.get(i) else { break };
-                                let r = arena.run_with_trace(s, mode);
-                                observer.scenario_done(i, &r);
-                                slots.lock().expect("no poisoned worker")[i] = Some(r);
-                            }
-                        })
-                    })
-                    .collect();
-                for w in workers {
-                    w.join().expect("fleet worker panicked");
-                }
-            });
-            slots
-                .into_inner()
-                .expect("workers joined")
-                .into_iter()
-                .map(|r| r.expect("every slot filled"))
-                .collect()
-        };
+        let results = run_pool(self.threads, scenarios, |arena, i, s| {
+            let r = arena.run_with_trace(s, mode);
+            observer.scenario_done(i, &r);
+            r
+        });
         let wall = WallStats {
             threads: self.threads,
             elapsed: started.elapsed(),
@@ -184,6 +149,52 @@ impl FleetRunner {
             wall,
         }
     }
+}
+
+/// Run `job(arena, i, &items[i])` for every item on `threads` workers and
+/// return the results in index order. Each worker owns one
+/// [`CellArena`] for all the items it claims; workers claim the next
+/// unclaimed index, so uneven items balance themselves. One thread runs
+/// on the caller's thread. A panicking job propagates to the caller.
+fn run_pool<T: Sync, R: Send>(
+    threads: usize,
+    items: &[T],
+    job: impl Fn(&mut CellArena, usize, &T) -> R + Sync,
+) -> Vec<R> {
+    if threads == 1 {
+        let mut arena = CellArena::new();
+        return items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| job(&mut arena, i, item))
+            .collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let slots: Mutex<Vec<Option<R>>> = Mutex::new(items.iter().map(|_| None).collect());
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut arena = CellArena::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        let r = job(&mut arena, i, item);
+                        slots.lock().expect("no poisoned worker")[i] = Some(r);
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().expect("fleet worker panicked");
+        }
+    });
+    slots
+        .into_inner()
+        .expect("workers joined")
+        .into_iter()
+        .map(|r| r.expect("every slot filled"))
+        .collect()
 }
 
 /// What [`FleetRunner::run`] hands back: the deterministic report plus
@@ -528,6 +539,28 @@ mod tests {
     use v6host::profiles::OsProfile;
     use v6testbed::scenario::{FaultVariant, PoisonVariant, TopologyVariant};
     use v6testbed::Scenario;
+
+    #[test]
+    fn run_pool_returns_every_result_in_index_order() {
+        let caller = std::thread::current().id();
+        for threads in [1, 3, 8] {
+            // No items, fewer items than threads, more items than threads.
+            for n in [0usize, 2, 37] {
+                let items: Vec<usize> = (0..n).map(|i| i * 10).collect();
+                let calls = AtomicUsize::new(0);
+                let out = run_pool(threads, &items, |_arena, i, &x| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    if threads == 1 {
+                        assert_eq!(std::thread::current().id(), caller);
+                    }
+                    (i, x + 1)
+                });
+                let want: Vec<(usize, usize)> = (0..n).map(|i| (i, i * 10 + 1)).collect();
+                assert_eq!(out, want, "{threads} threads, {n} items");
+                assert_eq!(calls.into_inner(), n, "each item runs exactly once");
+            }
+        }
+    }
 
     fn tiny_fleet() -> Vec<Scenario> {
         [

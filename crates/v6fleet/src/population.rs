@@ -19,9 +19,9 @@
 //! thread count and any shard count.
 
 use crate::sketch::CensusSketch;
-use crate::{FleetCensus, FleetObserver, FleetRunner, NoopObserver, SketchPercentiles, WallStats};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use crate::{
+    run_pool, FleetCensus, FleetObserver, FleetRunner, NoopObserver, SketchPercentiles, WallStats,
+};
 use std::time::Instant;
 use v6testbed::scenario::FaultVariant;
 use v6testbed::{CellArena, CellSpec, OsProfileId, PoisonVariant, TopologyVariant};
@@ -411,48 +411,11 @@ impl FleetRunner {
         assert!(shards >= 1, "a census needs at least one shard");
         let started = Instant::now();
         let bounds = shard_bounds(spec.size, shards);
-        let sketches: Vec<CensusSketch> = if self.threads() == 1 {
-            let mut arena = CellArena::new();
-            bounds
-                .iter()
-                .enumerate()
-                .map(|(i, &(lo, hi))| {
-                    let sketch = fold_range(&mut arena, spec, lo, hi);
-                    observer.shard_done(i, &sketch);
-                    sketch
-                })
-                .collect()
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let slots: Mutex<Vec<Option<CensusSketch>>> = Mutex::new(vec![None; bounds.len()]);
-            std::thread::scope(|scope| {
-                let workers: Vec<_> = (0..self.threads())
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut arena = CellArena::new();
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some(&(lo, hi)) = bounds.get(i) else {
-                                    break;
-                                };
-                                let sketch = fold_range(&mut arena, spec, lo, hi);
-                                observer.shard_done(i, &sketch);
-                                slots.lock().expect("no poisoned worker")[i] = Some(sketch);
-                            }
-                        })
-                    })
-                    .collect();
-                for w in workers {
-                    w.join().expect("census worker panicked");
-                }
-            });
-            slots
-                .into_inner()
-                .expect("workers joined")
-                .into_iter()
-                .map(|s| s.expect("every shard folded"))
-                .collect()
-        };
+        let sketches = run_pool(self.threads(), &bounds, |arena, i, &(lo, hi)| {
+            let sketch = fold_range(arena, spec, lo, hi);
+            observer.shard_done(i, &sketch);
+            sketch
+        });
         let mut sketch = CensusSketch::new();
         for s in &sketches {
             sketch.merge_from(s);

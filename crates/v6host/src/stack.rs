@@ -25,6 +25,7 @@ use v6dns::edns;
 use v6dns::name::DnsName;
 use v6dns::server::ResolutionFailure;
 use v6dns::stub::SearchList;
+use v6dns::view::{MessageView, RDataRef};
 use v6sim::engine::{Ctx, Node};
 use v6sim::tcp::TcpEndpoint;
 use v6sim::time::SimTime;
@@ -41,7 +42,7 @@ use v6wire::ndp::{NdpOption, NeighborAdvertisement, NeighborSolicitation, Router
 use v6wire::packet::{build_arp, build_icmpv6};
 use v6wire::tcp::TcpSegment;
 use v6wire::udp::{port, UdpDatagram};
-use v6wire::view::{FrameView, Icmp4View, Icmp6View, Ipv4View, Ipv6View, L3View, L4View};
+use v6wire::view::{FrameView, Icmp4View, Icmp6View, Ipv4View, Ipv6View, L3View, L4View, TcpView};
 use v6xlat::clat::Clat;
 
 const PORT_FLOOR: u16 = 49152;
@@ -937,7 +938,7 @@ impl Host {
         ctx.timer_in(timeout, token(TK_DNS, id, u64::from(attempt)));
     }
 
-    fn on_dns_response(&mut self, msg: &DnsMessage, ctx: &mut Ctx) {
+    fn on_dns_response(&mut self, msg: &MessageView<'_>, ctx: &mut Ctx) {
         let Some(wait) = self.dns_wait.remove(&msg.id) else {
             return;
         };
@@ -959,17 +960,17 @@ impl Host {
         // RFC 2308: a name error / no-data answer carrying an SOA is
         // cacheable for min(SOA TTL, SOA.minimum).
         if msg.rcode == Rcode::NxDomain
-            || (msg.rcode == Rcode::NoError && msg.answers.is_empty() && !msg.truncated)
+            || (msg.rcode == Rcode::NoError && msg.answers().next().is_none() && !msg.truncated)
         {
-            let soa = msg.authorities.iter().find_map(|r| match r.data {
-                RData::Soa { minimum, .. } => Some((r.ttl, minimum)),
+            let soa = msg.authorities().find_map(|r| match r.data {
+                RDataRef::Soa { minimum, .. } => Some((r.ttl, minimum)),
                 _ => None,
             });
-            if let (Some(q), Some((soa_ttl, minimum))) = (msg.questions.first(), soa) {
+            if let (Some(q), Some((soa_ttl, minimum))) = (msg.questions().next(), soa) {
                 let ttl = clamp::negative_ttl(soa_ttl, minimum);
                 if ttl > 0 {
                     self.neg_cache.insert(
-                        (q.name.clone(), q.rtype),
+                        (q.name.to_name(), q.rtype),
                         clamp::expiry(ctx.now.as_secs(), ttl),
                     );
                 }
@@ -982,7 +983,7 @@ impl Host {
         match &mut state.phase {
             Phase::Resolving { a, aaaa, .. } => {
                 let records: Vec<Record> = if msg.rcode == Rcode::NoError {
-                    msg.answers.clone()
+                    msg.answers().map(|r| r.to_record()).collect()
                 } else {
                     Vec::new()
                 };
@@ -1000,9 +1001,9 @@ impl Host {
                 name_idx,
                 attempt: _,
             } => {
-                if msg.rcode == Rcode::NoError && !msg.answers.is_empty() {
+                if msg.rcode == Rcode::NoError && msg.answers().next().is_some() {
                     let answered = candidates[*name_idx].clone();
-                    let records = msg.answers.clone();
+                    let records = msg.answers().map(|r| r.to_record()).collect();
                     self.finish(
                         id,
                         TaskOutcome::DnsAnswer {
@@ -1109,12 +1110,13 @@ impl Host {
             let q = std::mem::take(&mut flow.query);
             out.extend(flow.ep.send(&q));
         }
-        // A complete length-prefixed response?
+        // A complete length-prefixed response? Copied out of the flow so it
+        // can be read after the flow is dropped.
         let mut answer = None;
         if flow.ep.received.len() >= 2 {
             let need = u16::from_be_bytes([flow.ep.received[0], flow.ep.received[1]]) as usize;
             if flow.ep.received.len() >= 2 + need {
-                answer = DnsMessage::decode(&flow.ep.received[2..2 + need]).ok();
+                answer = Some(flow.ep.received[2..2 + need].to_vec());
                 out.extend(flow.ep.close());
             }
         }
@@ -1122,7 +1124,7 @@ impl Host {
         for s in out {
             self.send_segment(key, s, ctx);
         }
-        if let Some(msg) = answer {
+        if let Some(msg) = answer.as_deref().and_then(|b| MessageView::parse(b).ok()) {
             self.dns_tcp.remove(&key);
             // Re-enter the one response path; a TCP answer is never
             // truncated, so this cannot recurse back here.
@@ -1540,7 +1542,7 @@ impl Host {
                 self.on_ping_reply(*ident, IpAddr::V6(ip.src));
             }
             L4View::Udp(udp) if unicast_to_us && udp.src_port == port::DNS => {
-                if let Ok(msg) = DnsMessage::decode(udp.payload) {
+                if let Ok(msg) = MessageView::parse(udp.payload) {
                     self.on_dns_response(&msg, ctx);
                 }
             }
@@ -1587,18 +1589,16 @@ impl Host {
     fn handle_clat_v4(&mut self, pkt: &Ipv4Packet, ctx: &mut Ctx) {
         match pkt.protocol {
             proto::TCP => {
-                if let Ok(seg) = TcpSegment::decode_v4(&pkt.payload, pkt.src, pkt.dst) {
+                if let Ok(seg) = TcpView::parse_v4(&pkt.payload, pkt.src, pkt.dst) {
                     let key = FlowKey::ClatV4 {
                         local: (pkt.dst, seg.dst_port),
                         remote: (pkt.src, seg.src_port),
                     };
-                    self.on_tcp(key, seg, ctx);
+                    self.on_tcp(key, seg.to_segment(), ctx);
                 }
             }
             proto::ICMP => {
-                if let Ok(Icmpv4Message::EchoReply { ident, .. }) =
-                    Icmpv4Message::decode(&pkt.payload)
-                {
+                if let Ok(Icmp4View::EchoReply { ident, .. }) = Icmp4View::parse(&pkt.payload) {
                     self.on_ping_reply(ident, IpAddr::V4(pkt.src));
                 }
             }
@@ -1629,7 +1629,7 @@ impl Host {
         }
         match &parsed.l4 {
             L4View::Udp(udp) if udp.src_port == port::DNS => {
-                if let Ok(msg) = DnsMessage::decode(udp.payload) {
+                if let Ok(msg) = MessageView::parse(udp.payload) {
                     self.on_dns_response(&msg, ctx);
                 }
             }
@@ -1941,7 +1941,7 @@ mod tests {
     use v6sim::engine::Network;
     use v6sim::gateway::{FiveGGateway, LAN, WAN};
     use v6sim::l2::Switch;
-    use v6wire::packet::{ParsedFrame, L3, L4};
+    use v6wire::packet::{L3, L4};
 
     /// A Raspberry-Pi-like test node: answers NDP, serves DNS (over v6 and
     /// v4, UDP and TCP with 512-byte UDP truncation) from an embedded
@@ -1998,7 +1998,9 @@ mod tests {
                     let need =
                         u16::from_be_bytes([flow.ep.received[0], flow.ep.received[1]]) as usize;
                     if flow.ep.received.len() >= 2 + need {
-                        query = DnsMessage::decode(&flow.ep.received[2..2 + need]).ok();
+                        query = MessageView::parse(&flow.ep.received[2..2 + need])
+                            .map(|m| m.to_message())
+                            .ok();
                         flow.responded = true;
                     }
                 }
@@ -2045,7 +2047,7 @@ mod tests {
         }
 
         fn on_frame(&mut self, _port: u32, raw: &[u8], ctx: &mut Ctx) {
-            let Ok(parsed) = ParsedFrame::parse(raw) else {
+            let Ok(parsed) = FrameView::parse(raw).map(|v| v.to_parsed()) else {
                 return;
             };
             match (&parsed.l3, &parsed.l4) {
@@ -2065,7 +2067,7 @@ mod tests {
                     );
                 }
                 (L3::V6(ip), L4::Udp(udp)) if ip.dst == self.v6 && udp.dst_port == port::DNS => {
-                    if let Ok(mut msg) = DnsMessage::decode(&udp.payload) {
+                    if let Ok(mut msg) = MessageView::parse(&udp.payload).map(|m| m.to_message()) {
                         let q = msg.questions[0].clone();
                         let mut resp = self.answer(&q, ctx.now.as_secs(), true);
                         resp.id = msg.id;
@@ -2082,7 +2084,7 @@ mod tests {
                     }
                 }
                 (L3::V4(ip), L4::Udp(udp)) if ip.dst == self.v4 && udp.dst_port == port::DNS => {
-                    if let Ok(msg) = DnsMessage::decode(&udp.payload) {
+                    if let Ok(msg) = MessageView::parse(&udp.payload).map(|m| m.to_message()) {
                         let q = msg.questions[0].clone();
                         let mut resp = self.answer(&q, ctx.now.as_secs(), true);
                         resp.id = msg.id;

@@ -359,7 +359,6 @@ mod tests {
     use super::*;
     use v6sim::engine::Network;
     use v6sim::time::SimTime;
-    use v6wire::packet::{ParsedFrame, L4};
 
     /// Drive a raw HTTP exchange against the portal from a scripted client.
     struct ScriptClient {
@@ -426,11 +425,10 @@ mod tests {
         }
 
         fn on_frame(&mut self, _port: u32, raw: &[u8], ctx: &mut Ctx) {
-            let Ok(parsed) = ParsedFrame::parse(raw) else {
-                return;
-            };
-            let seg = match &parsed.l4 {
-                L4::Tcp(s) => s.clone(),
+            let seg = match FrameView::parse(raw) {
+                Ok(FrameView {
+                    l4: L4View::Tcp(s), ..
+                }) => s.to_segment(),
                 _ => return,
             };
             let Some(mut ep) = self.ep.take() else { return };

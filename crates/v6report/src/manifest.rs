@@ -386,21 +386,23 @@ impl RunManifest {
             timings.set("dns_resolution", dns);
         }
 
-        // And the zero-copy codec rows (owned-vs-view parse, checksum
-        // kernels, Full-trace ring vs its recorded baseline), written once
-        // the conformance-corpus benchmarks are part of bench_report.
+        // And the zero-copy codec rows (checksum kernels, Full-trace ring
+        // vs its recorded baseline), written once the conformance-corpus
+        // benchmarks are part of bench_report. The owned-vs-view parse
+        // speedups exist only in files recorded while a second, owned
+        // parser did; they are carried over when present.
         if v.get("codec_zero_copy").is_some() {
             structure.set(
                 "codec_corpus_inputs",
                 num(&["codec_zero_copy", "corpus_inputs"])?,
             );
             let mut codec = Json::obj();
-            for field in [
-                "wire_parse_speedup",
-                "dns_parse_speedup",
-                "checksum_swar_gb_per_s",
-                "full_trace_speedup",
-            ] {
+            for field in ["wire_parse_speedup", "dns_parse_speedup"] {
+                if let Some(val) = v.get_path(&["codec_zero_copy", field]) {
+                    codec.set(field, val.clone());
+                }
+            }
+            for field in ["checksum_swar_gb_per_s", "full_trace_speedup"] {
                 codec.set(field, num(&["codec_zero_copy", field])?);
             }
             timings.set("codec_zero_copy", codec);

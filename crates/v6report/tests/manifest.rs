@@ -348,3 +348,48 @@ fn bench_normalization_preserves_a_dns_resolution_section() {
     let parsed = Json::parse(&manifest.canonical()).expect("parses");
     assert!(parsed.get_path(&["timings", "dns_resolution"]).is_none());
 }
+
+#[test]
+fn bench_normalization_accepts_a_codec_section_without_parse_speedups() {
+    // With one parser there is no owned-vs-view speedup to record, so a
+    // fresh `bench_report` writes a `codec_zero_copy` section without
+    // `wire_parse_speedup`/`dns_parse_speedup`. It must still normalize,
+    // keeping the rows it does carry and inventing none.
+    let raw = r#"{
+        "engine_hot_path": {"workload": 1, "frames_per_iter": 2, "events_per_iter": 3,
+                            "off": 1.0, "hops": 2.0, "full": 3.0},
+        "codec_zero_copy": {"corpus_inputs": 14, "wire_parse_view_ns_per_frame": 77.9,
+                            "wire_summarize_ns_per_frame": 364.7,
+                            "dns_parse_view_ns_per_msg": 229.8,
+                            "checksum_scalar_gb_per_s": 6.87, "checksum_swar_gb_per_s": 10.76,
+                            "full_trace_baseline_ms": 18.283, "full_trace_ms": 4.837,
+                            "full_trace_speedup": 3.78},
+        "fleet_sweep": {"cells": 66, "off": 1.0, "hops": 2.0, "full": 3.0},
+        "baseline_pre_optimization": {"fleet_ms_per_sweep": 100.0, "fleet_scenarios_per_sec": 10.0},
+        "speedup_vs_baseline": 2.5
+    }"#;
+    let manifest = RunManifest::bench_from_raw(raw).expect("normalizes");
+    let parsed = Json::parse(&manifest.canonical()).expect("canonical output parses");
+    assert_eq!(
+        parsed
+            .get_path(&["structure", "codec_corpus_inputs"])
+            .and_then(Json::as_number),
+        Some(14.0)
+    );
+    for field in ["checksum_swar_gb_per_s", "full_trace_speedup"] {
+        assert!(
+            parsed
+                .get_path(&["timings", "codec_zero_copy", field])
+                .is_some(),
+            "timings.codec_zero_copy.{field} must survive normalization"
+        );
+    }
+    for field in ["wire_parse_speedup", "dns_parse_speedup"] {
+        assert!(
+            parsed
+                .get_path(&["timings", "codec_zero_copy", field])
+                .is_none(),
+            "timings.codec_zero_copy.{field} must not be invented"
+        );
+    }
+}

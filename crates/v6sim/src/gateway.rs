@@ -32,7 +32,7 @@ use v6wire::mac::MacAddr;
 use v6wire::ndp::{NdpOption, NeighborAdvertisement, RouterAdvertisement, RouterPreference};
 use v6wire::packet::{build_arp, build_icmpv6};
 use v6wire::udp::{port, UdpDatagram};
-use v6wire::view::{FrameView, Icmp4View, Icmp6View, Ipv4View, Ipv6View, L3View, L4View};
+use v6wire::view::{FrameView, Icmp4View, Icmp6View, Ipv4View, Ipv6View, L3View, L4View, UdpView};
 use v6xlat::nat64::{Nat64, Nat64Config};
 
 /// LAN port index.
@@ -355,7 +355,7 @@ impl FiveGGateway {
                 );
                 if let Ok(out) = self.nat44.outbound(&rewritten, ctx.now.as_secs()) {
                     // Remember the external port so the reply maps back.
-                    if let Ok(od) = UdpDatagram::decode_v4(&out.payload, out.src, out.dst) {
+                    if let Ok(od) = UdpView::parse_v4(&out.payload, out.src, out.dst) {
                         self.dns_proxy_ports.insert(od.src_port, ());
                     }
                     self.wan_send_v4(out, ctx);
@@ -414,18 +414,18 @@ impl FiveGGateway {
                 if let Ok(mut v4) = self.nat44.inbound(&pkt, now) {
                     // Proxied DNS replies masquerade as the gateway resolver.
                     if ip.src == self.upstream_dns {
-                        if let Ok(d) = UdpDatagram::decode_v4(ip.payload, ip.src, ip.dst) {
+                        if let Ok(d) = UdpView::parse_v4(ip.payload, ip.src, ip.dst) {
                             if self.dns_proxy_ports.contains_key(&d.dst_port) {
-                                let inner = UdpDatagram::decode_v4(&v4.payload, v4.src, v4.dst)
+                                let inner = UdpView::parse_v4(&v4.payload, v4.src, v4.dst)
                                     .expect("nat44 output is valid");
                                 let lan_v4 = self.lan_v4;
-                                v4 = Ipv4Packet::new(
-                                    lan_v4,
-                                    v4.dst,
-                                    proto::UDP,
-                                    UdpDatagram::new(port::DNS, inner.dst_port, inner.payload)
-                                        .encode_v4(lan_v4, v4.dst),
-                                );
+                                let reply = UdpDatagram::new(
+                                    port::DNS,
+                                    inner.dst_port,
+                                    inner.payload.to_vec(),
+                                )
+                                .encode_v4(lan_v4, v4.dst);
+                                v4 = Ipv4Packet::new(lan_v4, v4.dst, proto::UDP, reply);
                             }
                         }
                     }
@@ -510,7 +510,7 @@ impl Node for FiveGGateway {
 mod tests {
     use super::*;
     use crate::engine::Network;
-    use v6wire::packet::{ParsedFrame, L3, L4};
+    use v6wire::packet::{L3, L4};
 
     struct Sink {
         name: String,
@@ -551,10 +551,12 @@ mod tests {
     fn ras_in(frames: &[Vec<u8>]) -> Vec<RouterAdvertisement> {
         frames
             .iter()
-            .filter_map(|f| match ParsedFrame::parse(f).ok()?.l4 {
-                L4::Icmp6(Icmpv6Message::RouterAdvertisement(ra)) => Some(ra),
-                _ => None,
-            })
+            .filter_map(
+                |f| match FrameView::parse(f).map(|v| v.to_parsed()).ok()?.l4 {
+                    L4::Icmp6(Icmpv6Message::RouterAdvertisement(ra)) => Some(ra),
+                    _ => None,
+                },
+            )
             .collect()
     }
 
@@ -615,12 +617,14 @@ mod tests {
             .node_mut::<Sink>(lan)
             .frames
             .iter()
-            .filter_map(|f| match ParsedFrame::parse(f).ok()?.l4 {
-                L4::Udp(u) if u.src_port == port::DHCP_SERVER => {
-                    v6dhcp::codec::DhcpMessage::decode(&u.payload).ok()
-                }
-                _ => None,
-            })
+            .filter_map(
+                |f| match FrameView::parse(f).map(|v| v.to_parsed()).ok()?.l4 {
+                    L4::Udp(u) if u.src_port == port::DHCP_SERVER => {
+                        v6dhcp::codec::DhcpMessage::decode(&u.payload).ok()
+                    }
+                    _ => None,
+                },
+            )
             .collect();
         assert_eq!(offers.len(), 1, "the pool cannot be disabled");
         assert_eq!(
@@ -655,7 +659,9 @@ mod tests {
         // The internet side sees a v4 packet from the gateway's WAN address.
         let wan_frames = &net.node_mut::<Sink>(wan).frames;
         assert_eq!(wan_frames.len(), 1);
-        let p = ParsedFrame::parse(&wan_frames[0]).unwrap();
+        let p = FrameView::parse(&wan_frames[0])
+            .map(|v| v.to_parsed())
+            .unwrap();
         let L3::V4(ip) = &p.l3 else {
             panic!("expected v4")
         };
@@ -678,7 +684,7 @@ mod tests {
         let lan_frames = &net.node_mut::<Sink>(lan).frames;
         let got = lan_frames
             .iter()
-            .filter_map(|f| ParsedFrame::parse(f).ok())
+            .filter_map(|f| FrameView::parse(f).map(|v| v.to_parsed()).ok())
             .find_map(|p| match (p.l3, p.l4) {
                 (L3::V6(ip), L4::Udp(u)) if ip.dst == client_v6 => Some(u),
                 _ => None,
@@ -726,7 +732,9 @@ mod tests {
         net.with_node::<Sink, _>(lan, |_, ctx| ctx.send(0, frame));
         net.run_for(SimTime::from_millis(50));
         // Proxied to the upstream resolver.
-        let p = ParsedFrame::parse(&net.node_mut::<Sink>(wan).frames[0]).unwrap();
+        let p = FrameView::parse(&net.node_mut::<Sink>(wan).frames[0])
+            .map(|v| v.to_parsed())
+            .unwrap();
         let L3::V4(ip) = &p.l3 else {
             panic!("v4 expected")
         };
@@ -750,7 +758,7 @@ mod tests {
             .node_mut::<Sink>(lan)
             .frames
             .iter()
-            .filter_map(|f| ParsedFrame::parse(f).ok())
+            .filter_map(|f| FrameView::parse(f).map(|v| v.to_parsed()).ok())
             .find_map(|p| match (p.l3, p.l4) {
                 (L3::V4(ip), L4::Udp(u)) if u.dst_port == 5353 => Some((ip, u)),
                 _ => None,
@@ -779,7 +787,7 @@ mod tests {
             .node_mut::<Sink>(lan)
             .frames
             .iter()
-            .filter_map(|f| ParsedFrame::parse(f).ok())
+            .filter_map(|f| FrameView::parse(f).map(|v| v.to_parsed()).ok())
             .find_map(|p| match p.l3 {
                 L3::Arp(a) if a.op == ArpOp::Reply => Some(a),
                 _ => None,

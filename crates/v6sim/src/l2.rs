@@ -222,8 +222,7 @@ impl Node for Switch {
 
     fn on_frame(&mut self, ingress: u32, raw: &[u8], ctx: &mut Ctx) {
         // A switch only inspects headers; the zero-copy view keeps the
-        // per-hop cost allocation-free (it has the exact accept/reject
-        // behaviour of the owned parser, so drop accounting is unchanged).
+        // per-hop cost allocation-free.
         let Ok(parsed) = FrameView::parse(raw) else {
             return; // corrupt frame: drop
         };
@@ -271,7 +270,7 @@ mod tests {
     use super::*;
     use crate::engine::Network;
     use v6dhcp::codec::DhcpMessageType;
-    use v6wire::packet::{build_udp_v4, ParsedFrame, L4};
+    use v6wire::packet::{build_udp_v4, L4};
 
     /// Capture-everything endpoint.
     struct Sink {
@@ -358,10 +357,12 @@ mod tests {
         let frames = std::mem::take(&mut net.node_mut::<Sink>(a).frames);
         let ras: Vec<RouterAdvertisement> = frames
             .iter()
-            .filter_map(|f| match ParsedFrame::parse(f).ok()?.l4 {
-                L4::Icmp6(Icmpv6Message::RouterAdvertisement(ra)) => Some(ra),
-                _ => None,
-            })
+            .filter_map(
+                |f| match FrameView::parse(f).map(|v| v.to_parsed()).ok()?.l4 {
+                    L4::Icmp6(Icmpv6Message::RouterAdvertisement(ra)) => Some(ra),
+                    _ => None,
+                },
+            )
             .collect();
         assert!(ras.len() >= 3, "periodic beacons: {}", ras.len());
         let ra = &ras[0];
@@ -414,7 +415,7 @@ mod tests {
                 .iter()
                 .filter(|f| {
                     matches!(
-                        ParsedFrame::parse(f).map(|p| matches!(p.l4, L4::Udp(_))),
+                        FrameView::parse(f).map(|p| matches!(p.l4, L4View::Udp(_))),
                         Ok(true)
                     )
                 })
@@ -430,7 +431,7 @@ mod tests {
             .iter()
             .filter(|f| {
                 matches!(
-                    ParsedFrame::parse(f).map(|p| matches!(p.l4, L4::Udp(_))),
+                    FrameView::parse(f).map(|p| matches!(p.l4, L4View::Udp(_))),
                     Ok(true)
                 )
             })
@@ -462,7 +463,7 @@ mod tests {
         net.run_for(SimTime::from_millis(10));
         let got_ra = net.node_mut::<Sink>(a).frames.iter().any(|f| {
             matches!(
-                ParsedFrame::parse(f).map(|p| p.l4),
+                FrameView::parse(f).map(|v| v.to_parsed()).map(|p| p.l4),
                 Ok(L4::Icmp6(Icmpv6Message::RouterAdvertisement(_)))
             )
         });

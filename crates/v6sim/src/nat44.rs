@@ -10,8 +10,7 @@ use std::net::Ipv4Addr;
 use v6wire::fasthash::FastMap;
 use v6wire::icmpv4::Icmpv4Message;
 use v6wire::ipv4::{proto, Ipv4Packet};
-use v6wire::tcp::TcpSegment;
-use v6wire::udp::UdpDatagram;
+use v6wire::view::{Icmp4View, TcpView, UdpView};
 
 use v6xlat::siit::XlatError;
 
@@ -90,16 +89,17 @@ impl Napt44 {
     fn classify(pkt: &Ipv4Packet) -> Result<(Proto, u16, u16), XlatError> {
         match pkt.protocol {
             proto::UDP => {
-                let d = UdpDatagram::decode_v4(&pkt.payload, pkt.src, pkt.dst)?;
+                let d = UdpView::parse_v4(&pkt.payload, pkt.src, pkt.dst)?;
                 Ok((Proto::Udp, d.src_port, d.dst_port))
             }
             proto::TCP => {
-                let s = TcpSegment::decode_v4(&pkt.payload, pkt.src, pkt.dst)?;
+                let s = TcpView::parse_v4(&pkt.payload, pkt.src, pkt.dst)?;
                 Ok((Proto::Tcp, s.src_port, s.dst_port))
             }
-            proto::ICMP => match Icmpv4Message::decode(&pkt.payload)? {
-                Icmpv4Message::EchoRequest { ident, .. }
-                | Icmpv4Message::EchoReply { ident, .. } => Ok((Proto::Icmp, ident, ident)),
+            proto::ICMP => match Icmp4View::parse(&pkt.payload)? {
+                Icmp4View::EchoRequest { ident, .. } | Icmp4View::EchoReply { ident, .. } => {
+                    Ok((Proto::Icmp, ident, ident))
+                }
                 _ => Err(XlatError::UntranslatableIcmp),
             },
             other => Err(XlatError::UnsupportedProtocol(other)),
@@ -115,7 +115,7 @@ impl Napt44 {
     ) -> Result<Ipv4Packet, XlatError> {
         let payload = match pkt.protocol {
             proto::UDP => {
-                let mut d = UdpDatagram::decode_v4(&pkt.payload, pkt.src, pkt.dst)?;
+                let mut d = UdpView::parse_v4(&pkt.payload, pkt.src, pkt.dst)?.to_datagram();
                 if let Some(p) = new_sport {
                     d.src_port = p;
                 }
@@ -125,7 +125,7 @@ impl Napt44 {
                 d.encode_v4(new_src, new_dst)
             }
             proto::TCP => {
-                let mut s = TcpSegment::decode_v4(&pkt.payload, pkt.src, pkt.dst)?;
+                let mut s = TcpView::parse_v4(&pkt.payload, pkt.src, pkt.dst)?.to_segment();
                 if let Some(p) = new_sport {
                     s.src_port = p;
                 }
@@ -135,7 +135,7 @@ impl Napt44 {
                 s.encode_v4(new_src, new_dst)
             }
             proto::ICMP => {
-                let m = Icmpv4Message::decode(&pkt.payload)?;
+                let m = Icmp4View::parse(&pkt.payload)?.to_message();
                 let m2 = match m {
                     Icmpv4Message::EchoRequest {
                         ident,
@@ -238,6 +238,7 @@ impl Napt44 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use v6wire::udp::UdpDatagram;
 
     fn a(s: &str) -> Ipv4Addr {
         s.parse().unwrap()
@@ -259,7 +260,7 @@ mod tests {
             .outbound(&udp_out("192.168.12.60", 40000, "9.9.9.9"), 0)
             .unwrap();
         assert_eq!(out.src, a("100.66.7.8"));
-        let od = UdpDatagram::decode_v4(&out.payload, out.src, out.dst).unwrap();
+        let od = UdpView::parse_v4(&out.payload, out.src, out.dst).unwrap();
         let reply = UdpDatagram::new(53, od.src_port, b"r".to_vec());
         let rp = Ipv4Packet::new(
             a("9.9.9.9"),
@@ -269,7 +270,7 @@ mod tests {
         );
         let back = n.inbound(&rp, 1).unwrap();
         assert_eq!(back.dst, a("192.168.12.60"));
-        let bd = UdpDatagram::decode_v4(&back.payload, back.src, back.dst).unwrap();
+        let bd = UdpView::parse_v4(&back.payload, back.src, back.dst).unwrap();
         assert_eq!(bd.dst_port, 40000);
     }
 
@@ -285,10 +286,10 @@ mod tests {
             .outbound(&udp_out("192.168.12.61", 1111, "9.9.9.9"), 0)
             .unwrap();
         assert_eq!(o1.src, o2.src);
-        let p1 = UdpDatagram::decode_v4(&o1.payload, o1.src, o1.dst)
+        let p1 = UdpView::parse_v4(&o1.payload, o1.src, o1.dst)
             .unwrap()
             .src_port;
-        let p2 = UdpDatagram::decode_v4(&o2.payload, o2.src, o2.dst)
+        let p2 = UdpView::parse_v4(&o2.payload, o2.src, o2.dst)
             .unwrap()
             .src_port;
         assert_ne!(p1, p2, "disambiguated only by port");
@@ -308,7 +309,7 @@ mod tests {
         let out = n
             .outbound(&udp_out("192.168.12.60", 40000, "9.9.9.9"), 0)
             .unwrap();
-        let od = UdpDatagram::decode_v4(&out.payload, out.src, out.dst).unwrap();
+        let od = UdpView::parse_v4(&out.payload, out.src, out.dst).unwrap();
         let reply = UdpDatagram::new(53, od.src_port, b"r".to_vec());
         let rp = Ipv4Packet::new(
             a("9.9.9.9"),
@@ -330,7 +331,9 @@ mod tests {
         };
         let pkt = Ipv4Packet::new(a("192.168.12.60"), a("9.9.9.9"), proto::ICMP, m.encode());
         let out = n.outbound(&pkt, 0).unwrap();
-        let om = Icmpv4Message::decode(&out.payload).unwrap();
+        let om = Icmp4View::parse(&out.payload)
+            .map(|v| v.to_message())
+            .unwrap();
         let ext = match om {
             Icmpv4Message::EchoRequest { ident, .. } => ident,
             other => panic!("unexpected {other:?}"),
@@ -342,7 +345,9 @@ mod tests {
         };
         let rp = Ipv4Packet::new(a("9.9.9.9"), out.src, proto::ICMP, reply.encode());
         let back = n.inbound(&rp, 1).unwrap();
-        let bm = Icmpv4Message::decode(&back.payload).unwrap();
+        let bm = Icmp4View::parse(&back.payload)
+            .map(|v| v.to_message())
+            .unwrap();
         assert!(matches!(bm, Icmpv4Message::EchoReply { ident: 7, .. }));
     }
 }

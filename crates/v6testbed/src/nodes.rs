@@ -6,11 +6,12 @@ use std::any::Any;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use v6addr::prefix::{Ipv4Prefix, Ipv6Prefix};
 use v6dhcp::server::{DhcpServer, ServerConfig};
-use v6dns::codec::Message as DnsMessage;
+use v6dns::codec::{Message as DnsMessage, Rcode};
 use v6dns::dns64::Dns64;
 use v6dns::edns;
 use v6dns::poison::{PoisonPolicy, PoisonedResolver};
 use v6dns::server::{CachingResolver, GlobalDns, Resolver};
+use v6dns::view::MessageView;
 use v6sim::engine::{Ctx, Node};
 use v6sim::tcp::TcpEndpoint;
 use v6wire::arp::{ArpOp, ArpPacket};
@@ -140,16 +141,17 @@ impl PiServer {
     /// ceiling for a UDP reply (`None` over TCP): a response that would
     /// not fit is emptied and flagged TC (RFC 6891 §7) so the stub can
     /// retry over TCP. A classified resolution failure travels back as an
-    /// RFC 8914 Extended DNS Error in the additional section.
+    /// RFC 8914 Extended DNS Error in the additional section. A query
+    /// without a question gets no response.
     fn answer(
         resolver: &mut dyn Resolver,
-        msg: &DnsMessage,
+        query: &MessageView<'_>,
         now: u64,
         udp_limit: Option<usize>,
-    ) -> DnsMessage {
-        let q = msg.questions[0].clone();
-        let ans = resolver.resolve(&q, now);
-        let mut resp = DnsMessage::response_to(msg, ans.rcode);
+    ) -> Option<DnsMessage> {
+        let mut resp = query.response(Rcode::NoError);
+        let ans = resolver.resolve(resp.questions.first()?, now);
+        resp.rcode = ans.rcode;
         resp.answers = ans.records;
         if let Some(soa) = ans.soa {
             resp.authorities.push(soa);
@@ -167,13 +169,13 @@ impl PiServer {
                 resp.authorities.clear();
             }
         }
-        resp
+        Some(resp)
     }
 
     /// The UDP size ceiling a query grants its response: the EDNS0
     /// advertised payload size, or the classic 512-octet limit when the
     /// query carries no OPT.
-    fn udp_limit(msg: &DnsMessage) -> usize {
+    fn udp_limit(msg: &MessageView<'_>) -> usize {
         edns::advertised_payload_size(msg).unwrap_or(edns::CLASSIC_UDP_LIMIT)
     }
 
@@ -224,7 +226,7 @@ impl PiServer {
         if buf.len() < 2 + want {
             return; // still streaming in
         }
-        let Ok(msg) = DnsMessage::decode(&buf[2..2 + want]) else {
+        let Ok(msg) = MessageView::parse(&buf[2..2 + want]) else {
             self.tcp_flows.remove(&id);
             return;
         };
@@ -232,6 +234,10 @@ impl PiServer {
         let resp = match id.local {
             IpAddr::V6(_) => Self::answer(&mut self.healthy, &msg, now, None),
             IpAddr::V4(_) => Self::answer(&mut self.poisoned, &msg, now, None),
+        };
+        let Some(resp) = resp else {
+            self.tcp_flows.remove(&id);
+            return;
         };
         let payload = resp.encode();
         let mut framed = (payload.len() as u16).to_be_bytes().to_vec();
@@ -286,8 +292,7 @@ impl Node for PiServer {
             return; // crashed (failure-injection experiments)
         }
         // Zero-copy view: the server only reads headers and borrows the
-        // UDP payload for DNS/DHCP decoding (same accept/reject behaviour
-        // as the owned parser).
+        // UDP payload for DNS/DHCP decoding.
         let Ok(parsed) = FrameView::parse(raw) else {
             return;
         };
@@ -311,10 +316,12 @@ impl Node for PiServer {
             (L3View::V6(ip), L4View::Udp(udp))
                 if ip.dst == self.v6 && udp.dst_port == port::DNS =>
             {
-                if let Ok(msg) = DnsMessage::decode(udp.payload) {
+                if let Ok(msg) = MessageView::parse(udp.payload) {
                     self.v6_queries += 1;
                     let limit = Self::udp_limit(&msg);
-                    let resp = Self::answer(&mut self.healthy, &msg, now, Some(limit));
+                    let Some(resp) = Self::answer(&mut self.healthy, &msg, now, Some(limit)) else {
+                        return;
+                    };
                     let d = UdpDatagram::new(port::DNS, udp.src_port, resp.encode());
                     ctx.send(
                         0,
@@ -325,10 +332,13 @@ impl Node for PiServer {
             (L3View::V4(ip), L4View::Udp(udp))
                 if ip.dst == self.v4 && udp.dst_port == port::DNS =>
             {
-                if let Ok(msg) = DnsMessage::decode(udp.payload) {
+                if let Ok(msg) = MessageView::parse(udp.payload) {
                     self.v4_queries += 1;
                     let limit = Self::udp_limit(&msg);
-                    let resp = Self::answer(&mut self.poisoned, &msg, now, Some(limit));
+                    let Some(resp) = Self::answer(&mut self.poisoned, &msg, now, Some(limit))
+                    else {
+                        return;
+                    };
                     let d = UdpDatagram::new(port::DNS, udp.src_port, resp.encode());
                     ctx.send(
                         0,
@@ -454,11 +464,14 @@ impl Node for PublicDns {
         };
         if let (L3View::V4(ip), L4View::Udp(udp)) = (&parsed.l3, &parsed.l4) {
             if ip.dst == self.v4 && udp.dst_port == port::DNS {
-                if let Ok(msg) = DnsMessage::decode(udp.payload) {
+                if let Ok(msg) = MessageView::parse(udp.payload) {
                     self.queries += 1;
                     let limit = PiServer::udp_limit(&msg);
-                    let resp =
-                        PiServer::answer(&mut self.resolver, &msg, ctx.now.as_secs(), Some(limit));
+                    let now = ctx.now.as_secs();
+                    let Some(resp) = PiServer::answer(&mut self.resolver, &msg, now, Some(limit))
+                    else {
+                        return;
+                    };
                     let d = UdpDatagram::new(port::DNS, udp.src_port, resp.encode());
                     ctx.send(
                         0,
@@ -570,7 +583,7 @@ impl Node for InternetRouter {
 mod tests {
     use super::*;
     use crate::zones::delegated_internet_dns;
-    use v6dns::codec::{Question, RData, RType, Rcode};
+    use v6dns::codec::{Question, RData, RType};
     use v6dns::server::ResolutionFailure;
     use v6dns::DnsName;
 
@@ -582,15 +595,25 @@ mod tests {
         DnsMessage::query(7, Question::new(n(name), rtype))
     }
 
+    /// Send `q` over the wire to `resolver`: over UDP with the limit `q`
+    /// grants, or over TCP.
+    fn ask(resolver: &mut dyn Resolver, q: &DnsMessage, udp: bool) -> DnsMessage {
+        let wire = q.encode();
+        let view = MessageView::parse(&wire).unwrap();
+        let limit = udp.then(|| PiServer::udp_limit(&view));
+        PiServer::answer(resolver, &view, 0, limit).expect("query has a question")
+    }
+
     #[test]
     fn classified_failure_travels_as_ede() {
         let mut pi = PiServer::new(PoisonPolicy::Off, true);
         pi.install_global_dns(delegated_internet_dns());
         let q = query("sc24.supercomputing.org", RType::Aaaa);
-        let resp = PiServer::answer(&mut pi.healthy, &q, 0, Some(PiServer::udp_limit(&q)));
+        let resp = ask(&mut pi.healthy, &q, true);
         assert_eq!(resp.rcode, Rcode::ServFail);
+        let wire = resp.encode();
         assert_eq!(
-            edns::failure_of(&resp),
+            edns::failure_of(&MessageView::parse(&wire).unwrap()),
             Some(ResolutionFailure::NoAaaaGlue),
             "the stub learns *why*, not just SERVFAIL"
         );
@@ -602,7 +625,7 @@ mod tests {
         pi.install_global_dns(delegated_internet_dns());
         pi.reset();
         let q = query("sc24.supercomputing.org", RType::Aaaa);
-        let resp = PiServer::answer(&mut pi.healthy, &q, 0, Some(PiServer::udp_limit(&q)));
+        let resp = ask(&mut pi.healthy, &q, true);
         // DNS64 synthesis works again: flat zones restored, warm cell
         // equivalent to a cold build.
         assert_eq!(resp.rcode, Rcode::NoError);
@@ -622,7 +645,7 @@ mod tests {
         let mut pi = PiServer::new(PoisonPolicy::Off, true);
         pi.install_global_dns(g);
         let q = query("big.test", RType::Txt);
-        let resp = PiServer::answer(&mut pi.healthy, &q, 0, Some(PiServer::udp_limit(&q)));
+        let resp = ask(&mut pi.healthy, &q, true);
         assert!(resp.truncated, "TC set");
         assert!(
             resp.answers.is_empty(),
@@ -635,17 +658,12 @@ mod tests {
         q_edns
             .additionals
             .push(edns::opt_record(edns::DEFAULT_PAYLOAD_SIZE, &[]));
-        let resp = PiServer::answer(
-            &mut pi.healthy,
-            &q_edns,
-            0,
-            Some(PiServer::udp_limit(&q_edns)),
-        );
+        let resp = ask(&mut pi.healthy, &q_edns, true);
         assert!(!resp.truncated);
         assert!(!resp.answers.is_empty());
 
         // And over TCP there is no ceiling at all.
-        let resp = PiServer::answer(&mut pi.healthy, &q, 0, None);
+        let resp = ask(&mut pi.healthy, &q, false);
         assert!(!resp.truncated);
         assert!(!resp.answers.is_empty());
     }

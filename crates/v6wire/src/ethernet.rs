@@ -1,7 +1,6 @@
 //! Ethernet II framing.
 
 use crate::mac::MacAddr;
-use crate::{be16, WireError, WireResult};
 
 /// EtherType values the testbed carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,26 +74,6 @@ impl EthernetFrame {
         out
     }
 
-    /// Parse from bytes.
-    pub fn decode(buf: &[u8]) -> WireResult<Self> {
-        if buf.len() < Self::HEADER_LEN {
-            return Err(WireError::Truncated {
-                what: "ethernet",
-                need: Self::HEADER_LEN,
-                have: buf.len(),
-            });
-        }
-        let dst = MacAddr::decode(&buf[0..6])?;
-        let src = MacAddr::decode(&buf[6..12])?;
-        let ethertype = EtherType::from_u16(be16(buf, 12, "ethernet")?);
-        Ok(EthernetFrame {
-            dst,
-            src,
-            ethertype,
-            payload: buf[14..].to_vec(),
-        })
-    }
-
     /// True if addressed to `mac`, broadcast, or any group address
     /// (simulated NICs run in "accept all multicast" mode — the host stack
     /// filters by group membership at L3).
@@ -106,6 +85,8 @@ impl EthernetFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::EthView;
+    use crate::WireError;
 
     fn mac(last: u8) -> MacAddr {
         MacAddr::new([0x02, 0, 0, 0, 0, last])
@@ -115,7 +96,7 @@ mod tests {
     fn roundtrip() {
         let f = EthernetFrame::new(mac(1), mac(2), EtherType::Ipv6, vec![1, 2, 3, 4]);
         let bytes = f.encode();
-        assert_eq!(EthernetFrame::decode(&bytes).unwrap(), f);
+        assert_eq!(EthView::parse(&bytes).unwrap().to_frame(), f);
     }
 
     #[test]
@@ -143,7 +124,7 @@ mod tests {
     #[test]
     fn truncated_rejected() {
         assert!(matches!(
-            EthernetFrame::decode(&[0u8; 13]),
+            EthView::parse(&[0u8; 13]),
             Err(WireError::Truncated { .. })
         ));
     }

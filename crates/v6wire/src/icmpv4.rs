@@ -2,9 +2,8 @@
 //! message types the NAT64/NAT44 paths and ping-based experiments need.
 
 use crate::checksum::checksum;
-use crate::{be16, need, WireError, WireResult};
 
-/// A decoded ICMPv4 message.
+/// An ICMPv4 message (parsed by [`crate::view::Icmp4View`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Icmpv4Message {
     /// Echo request (type 8).
@@ -87,50 +86,17 @@ impl Icmpv4Message {
         out[2..4].copy_from_slice(&ck.to_be_bytes());
         out
     }
-
-    /// Parse and verify checksum.
-    pub fn decode(buf: &[u8]) -> WireResult<Self> {
-        need(buf, 8, "icmpv4")?;
-        if checksum(buf) != 0 {
-            let mut zeroed = buf.to_vec();
-            zeroed[2] = 0;
-            zeroed[3] = 0;
-            return Err(WireError::BadChecksum {
-                what: "icmpv4",
-                found: be16(buf, 2, "icmpv4")?,
-                expected: checksum(&zeroed),
-            });
-        }
-        match (buf[0], buf[1]) {
-            (8, 0) => Ok(Icmpv4Message::EchoRequest {
-                ident: be16(buf, 4, "icmpv4")?,
-                seq: be16(buf, 6, "icmpv4")?,
-                payload: buf[8..].to_vec(),
-            }),
-            (0, 0) => Ok(Icmpv4Message::EchoReply {
-                ident: be16(buf, 4, "icmpv4")?,
-                seq: be16(buf, 6, "icmpv4")?,
-                payload: buf[8..].to_vec(),
-            }),
-            (3, code) => Ok(Icmpv4Message::DestinationUnreachable {
-                code,
-                invoking: buf[8..].to_vec(),
-            }),
-            (11, code) => Ok(Icmpv4Message::TimeExceeded {
-                code,
-                invoking: buf[8..].to_vec(),
-            }),
-            (t, _) => Err(WireError::BadField {
-                what: "icmpv4-type",
-                value: u64::from(t),
-            }),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::Icmp4View;
+    use crate::WireError;
+
+    fn parse(b: &[u8]) -> Result<Icmpv4Message, WireError> {
+        Icmp4View::parse(b).map(|v| v.to_message())
+    }
 
     #[test]
     fn echo_roundtrip() {
@@ -139,13 +105,13 @@ mod tests {
             seq: 7,
             payload: b"abcdefgh".to_vec(),
         };
-        assert_eq!(Icmpv4Message::decode(&m.encode()).unwrap(), m);
+        assert_eq!(parse(&m.encode()).unwrap(), m);
         let r = Icmpv4Message::EchoReply {
             ident: 0x1234,
             seq: 7,
             payload: b"abcdefgh".to_vec(),
         };
-        assert_eq!(Icmpv4Message::decode(&r.encode()).unwrap(), r);
+        assert_eq!(parse(&r.encode()).unwrap(), r);
     }
 
     #[test]
@@ -154,7 +120,7 @@ mod tests {
             code: 3,
             invoking: vec![0x45; 28],
         };
-        assert_eq!(Icmpv4Message::decode(&m.encode()).unwrap(), m);
+        assert_eq!(parse(&m.encode()).unwrap(), m);
     }
 
     #[test]
@@ -166,10 +132,7 @@ mod tests {
         };
         let mut b = m.encode();
         b[5] ^= 1;
-        assert!(matches!(
-            Icmpv4Message::decode(&b),
-            Err(WireError::BadChecksum { .. })
-        ));
+        assert!(matches!(parse(&b), Err(WireError::BadChecksum { .. })));
     }
 
     #[test]
@@ -178,9 +141,6 @@ mod tests {
         let mut b = vec![13u8, 0, 0, 0, 0, 0, 0, 0];
         let ck = checksum(&b);
         b[2..4].copy_from_slice(&ck.to_be_bytes());
-        assert!(matches!(
-            Icmpv4Message::decode(&b),
-            Err(WireError::BadField { .. })
-        ));
+        assert!(matches!(parse(&b), Err(WireError::BadField { .. })));
     }
 }

@@ -1,15 +1,15 @@
 //! ICMPv6 (RFC 4443) envelope: echo, destination-unreachable, and the four
 //! NDP messages from [`crate::ndp`]. The ICMPv6 checksum covers the IPv6
-//! pseudo-header, so encode/decode take the source and destination addresses.
+//! pseudo-header, so encoding (and [`crate::view::Icmp6View::parse`]) takes
+//! the source and destination addresses.
 
 use crate::checksum::pseudo_v6;
 use crate::ndp::{
-    NdpOption, NeighborAdvertisement, NeighborSolicitation, RouterAdvertisement, RouterSolicitation,
+    NeighborAdvertisement, NeighborSolicitation, RouterAdvertisement, RouterSolicitation,
 };
-use crate::{be16, be32, need, WireError, WireResult};
 use std::net::Ipv6Addr;
 
-/// A decoded ICMPv6 message.
+/// An ICMPv6 message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Icmpv6Message {
     /// Type 1: destination unreachable.
@@ -119,93 +119,6 @@ impl Icmpv6Message {
         out[2..4].copy_from_slice(&sum.to_be_bytes());
         out
     }
-
-    /// Parse and verify against the pseudo-header for `src`→`dst`.
-    pub fn decode(buf: &[u8], src: Ipv6Addr, dst: Ipv6Addr) -> WireResult<Self> {
-        need(buf, 4, "icmpv6")?;
-        let mut ck = pseudo_v6(src, dst, crate::ipv4::proto::ICMPV6, buf.len() as u32);
-        ck.push(buf);
-        if ck.finish() != 0 {
-            let mut zeroed = buf.to_vec();
-            zeroed[2] = 0;
-            zeroed[3] = 0;
-            let mut again = pseudo_v6(src, dst, crate::ipv4::proto::ICMPV6, buf.len() as u32);
-            again.push(&zeroed);
-            return Err(WireError::BadChecksum {
-                what: "icmpv6",
-                found: be16(buf, 2, "icmpv6")?,
-                expected: again.finish(),
-            });
-        }
-        let read_target = |off: usize| -> WireResult<Ipv6Addr> {
-            need(buf, off + 16, "icmpv6-target")?;
-            let mut a = [0u8; 16];
-            a.copy_from_slice(&buf[off..off + 16]);
-            Ok(Ipv6Addr::from(a))
-        };
-        match buf[0] {
-            1 => {
-                need(buf, 8, "icmpv6-unreach")?;
-                Ok(Icmpv6Message::DestinationUnreachable {
-                    code: buf[1],
-                    invoking: buf[8..].to_vec(),
-                })
-            }
-            128 | 129 => {
-                need(buf, 8, "icmpv6-echo")?;
-                let ident = be16(buf, 4, "icmpv6-echo")?;
-                let seq = be16(buf, 6, "icmpv6-echo")?;
-                let payload = buf[8..].to_vec();
-                if buf[0] == 128 {
-                    Ok(Icmpv6Message::EchoRequest {
-                        ident,
-                        seq,
-                        payload,
-                    })
-                } else {
-                    Ok(Icmpv6Message::EchoReply {
-                        ident,
-                        seq,
-                        payload,
-                    })
-                }
-            }
-            133 => {
-                need(buf, 8, "icmpv6-rs")?;
-                Ok(Icmpv6Message::RouterSolicitation(RouterSolicitation {
-                    options: NdpOption::decode_all(&buf[8..])?,
-                }))
-            }
-            134 => Ok(Icmpv6Message::RouterAdvertisement(
-                RouterAdvertisement::decode_body(&buf[4..])?,
-            )),
-            135 => {
-                need(buf, 24, "icmpv6-ns")?;
-                Ok(Icmpv6Message::NeighborSolicitation(NeighborSolicitation {
-                    target: read_target(8)?,
-                    options: NdpOption::decode_all(&buf[24..])?,
-                }))
-            }
-            136 => {
-                need(buf, 24, "icmpv6-na")?;
-                // Re-read the reserved word to keep decode strictness honest.
-                let _reserved = be32(buf, 4, "icmpv6-na")? & 0x1fff_ffff;
-                Ok(Icmpv6Message::NeighborAdvertisement(
-                    NeighborAdvertisement {
-                        router: buf[4] & 0x80 != 0,
-                        solicited: buf[4] & 0x40 != 0,
-                        override_flag: buf[4] & 0x20 != 0,
-                        target: read_target(8)?,
-                        options: NdpOption::decode_all(&buf[24..])?,
-                    },
-                ))
-            }
-            t => Err(WireError::BadField {
-                what: "icmpv6-type",
-                value: u64::from(t),
-            }),
-        }
-    }
 }
 
 /// The all-nodes link-local multicast group `ff02::1`.
@@ -237,7 +150,13 @@ pub fn solicited_node(addr: Ipv6Addr) -> Ipv6Addr {
 mod tests {
     use super::*;
     use crate::mac::MacAddr;
-    use crate::ndp::RouterPreference;
+    use crate::ndp::{NdpOption, RouterPreference};
+    use crate::view::Icmp6View;
+    use crate::WireResult;
+
+    fn parse(b: &[u8], src: Ipv6Addr, dst: Ipv6Addr) -> WireResult<Icmpv6Message> {
+        Icmp6View::parse(b, src, dst).map(|v| v.to_message())
+    }
 
     fn ll(last: u16) -> Ipv6Addr {
         format!("fe80::{last:x}").parse().unwrap()
@@ -251,8 +170,7 @@ mod tests {
             payload: b"ping sc24.supercomputing.org".to_vec(),
         };
         let bytes = m.encode(ll(1), "64:ff9b::be5c:9e04".parse().unwrap());
-        let got =
-            Icmpv6Message::decode(&bytes, ll(1), "64:ff9b::be5c:9e04".parse().unwrap()).unwrap();
+        let got = parse(&bytes, ll(1), "64:ff9b::be5c:9e04".parse().unwrap()).unwrap();
         assert_eq!(got, m);
     }
 
@@ -266,10 +184,7 @@ mod tests {
         });
         let m = Icmpv6Message::RouterAdvertisement(ra);
         let bytes = m.encode(ll(1), all_nodes());
-        assert_eq!(
-            Icmpv6Message::decode(&bytes, ll(1), all_nodes()).unwrap(),
-            m
-        );
+        assert_eq!(parse(&bytes, ll(1), all_nodes()).unwrap(), m);
     }
 
     #[test]
@@ -280,10 +195,7 @@ mod tests {
             options: vec![NdpOption::SourceLinkLayer(MacAddr::new([2, 0, 0, 0, 0, 5]))],
         });
         let bytes = ns.encode(ll(5), solicited_node(target));
-        assert_eq!(
-            Icmpv6Message::decode(&bytes, ll(5), solicited_node(target)).unwrap(),
-            ns
-        );
+        assert_eq!(parse(&bytes, ll(5), solicited_node(target)).unwrap(), ns);
         let na = Icmpv6Message::NeighborAdvertisement(NeighborAdvertisement {
             router: false,
             solicited: true,
@@ -292,7 +204,7 @@ mod tests {
             options: vec![NdpOption::TargetLinkLayer(MacAddr::new([2, 0, 0, 0, 0, 9]))],
         });
         let bytes = na.encode(target, ll(5));
-        assert_eq!(Icmpv6Message::decode(&bytes, target, ll(5)).unwrap(), na);
+        assert_eq!(parse(&bytes, target, ll(5)).unwrap(), na);
     }
 
     #[test]
@@ -303,7 +215,7 @@ mod tests {
             payload: vec![],
         };
         let bytes = m.encode(ll(1), ll(2));
-        assert!(Icmpv6Message::decode(&bytes, ll(1), ll(3)).is_err());
+        assert!(parse(&bytes, ll(1), ll(3)).is_err());
     }
 
     #[test]

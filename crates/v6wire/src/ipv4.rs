@@ -1,7 +1,7 @@
-//! IPv4 (RFC 791) header encode/decode with header checksum.
+//! IPv4 (RFC 791) packets and their encoder, with the header checksum.
+//! Parsing is [`crate::view::Ipv4View`].
 
 use crate::checksum::checksum;
-use crate::{be16, need, WireError, WireResult};
 use std::net::Ipv4Addr;
 
 /// IP protocol numbers shared by IPv4's `protocol` and IPv6's `next header`.
@@ -18,7 +18,7 @@ pub mod proto {
     pub const NO_NEXT: u8 = 59;
 }
 
-/// A decoded IPv4 packet. Options are not modelled (the testbed never emits
+/// An IPv4 packet. Options are not modelled (the testbed never emits
 /// them); a packet carrying options is still accepted and the options bytes
 /// are skipped.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,60 +80,6 @@ impl Ipv4Packet {
         out
     }
 
-    /// Parse from bytes, verifying version, lengths and the header checksum.
-    pub fn decode(buf: &[u8]) -> WireResult<Self> {
-        need(buf, Self::HEADER_LEN, "ipv4")?;
-        let version = buf[0] >> 4;
-        if version != 4 {
-            return Err(WireError::BadField {
-                what: "ipv4-version",
-                value: u64::from(version),
-            });
-        }
-        let ihl = usize::from(buf[0] & 0x0f) * 4;
-        if ihl < Self::HEADER_LEN {
-            return Err(WireError::BadLength {
-                what: "ipv4-ihl",
-                claimed: ihl,
-                actual: Self::HEADER_LEN,
-            });
-        }
-        need(buf, ihl, "ipv4-options")?;
-        let total_len = usize::from(be16(buf, 2, "ipv4")?);
-        if total_len < ihl || total_len > buf.len() {
-            return Err(WireError::BadLength {
-                what: "ipv4-total-length",
-                claimed: total_len,
-                actual: buf.len(),
-            });
-        }
-        let wire_ck = be16(buf, 10, "ipv4")?;
-        let computed = {
-            let mut hdr = buf[..ihl].to_vec();
-            hdr[10] = 0;
-            hdr[11] = 0;
-            checksum(&hdr)
-        };
-        if wire_ck != computed {
-            return Err(WireError::BadChecksum {
-                what: "ipv4-header",
-                found: wire_ck,
-                expected: computed,
-            });
-        }
-        let flags_frag = be16(buf, 6, "ipv4")?;
-        Ok(Ipv4Packet {
-            dscp_ecn: buf[1],
-            identification: be16(buf, 4, "ipv4")?,
-            dont_fragment: flags_frag & 0x4000 != 0,
-            ttl: buf[8],
-            protocol: buf[9],
-            src: Ipv4Addr::new(buf[12], buf[13], buf[14], buf[15]),
-            dst: Ipv4Addr::new(buf[16], buf[17], buf[18], buf[19]),
-            payload: buf[ihl..total_len].to_vec(),
-        })
-    }
-
     /// Copy with TTL decremented (router forwarding). Returns `None` when the
     /// TTL would hit zero, in which case the router must drop (and would send
     /// an ICMP time-exceeded in a full implementation).
@@ -150,6 +96,8 @@ impl Ipv4Packet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::Ipv4View;
+    use crate::WireError;
 
     fn sample() -> Ipv4Packet {
         Ipv4Packet::new(
@@ -163,7 +111,7 @@ mod tests {
     #[test]
     fn roundtrip() {
         let p = sample();
-        assert_eq!(Ipv4Packet::decode(&p.encode()).unwrap(), p);
+        assert_eq!(Ipv4View::parse(&p.encode()).unwrap().to_packet(), p);
     }
 
     #[test]
@@ -171,7 +119,7 @@ mod tests {
         let mut bytes = sample().encode();
         bytes[8] = bytes[8].wrapping_add(1); // corrupt TTL without fixing checksum
         assert!(matches!(
-            Ipv4Packet::decode(&bytes),
+            Ipv4View::parse(&bytes),
             Err(WireError::BadChecksum { .. })
         ));
     }
@@ -181,7 +129,7 @@ mod tests {
         let mut bytes = sample().encode();
         bytes[0] = 0x65;
         assert!(matches!(
-            Ipv4Packet::decode(&bytes),
+            Ipv4View::parse(&bytes),
             Err(WireError::BadField { .. })
         ));
     }
@@ -192,7 +140,7 @@ mod tests {
         let p = sample();
         let mut bytes = p.encode();
         bytes.extend_from_slice(&[0u8; 10]); // pad
-        let q = Ipv4Packet::decode(&bytes).unwrap();
+        let q = Ipv4View::parse(&bytes).unwrap();
         assert_eq!(q.payload, p.payload);
     }
 

@@ -1,9 +1,9 @@
-//! IPv6 (RFC 8200) header encode/decode.
+//! IPv6 (RFC 8200) packets and their encoder. Parsing is
+//! [`crate::view::Ipv6View`].
 
-use crate::{be16, need, WireError, WireResult};
 use std::net::Ipv6Addr;
 
-/// A decoded IPv6 packet. Extension headers other than the payload protocol
+/// An IPv6 packet. Extension headers other than the payload protocol
 /// are not emitted by the testbed; a packet carrying one is surfaced with its
 /// `next_header` so callers can decide to drop it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,41 +56,6 @@ impl Ipv6Packet {
         out
     }
 
-    /// Parse from bytes.
-    pub fn decode(buf: &[u8]) -> WireResult<Self> {
-        need(buf, Self::HEADER_LEN, "ipv6")?;
-        let version = buf[0] >> 4;
-        if version != 6 {
-            return Err(WireError::BadField {
-                what: "ipv6-version",
-                value: u64::from(version),
-            });
-        }
-        let payload_len = usize::from(be16(buf, 4, "ipv6")?);
-        if Self::HEADER_LEN + payload_len > buf.len() {
-            return Err(WireError::BadLength {
-                what: "ipv6-payload-length",
-                claimed: payload_len,
-                actual: buf.len() - Self::HEADER_LEN,
-            });
-        }
-        let mut src = [0u8; 16];
-        src.copy_from_slice(&buf[8..24]);
-        let mut dst = [0u8; 16];
-        dst.copy_from_slice(&buf[24..40]);
-        Ok(Ipv6Packet {
-            traffic_class: ((buf[0] & 0x0f) << 4) | (buf[1] >> 4),
-            flow_label: (u32::from(buf[1] & 0x0f) << 16)
-                | (u32::from(buf[2]) << 8)
-                | u32::from(buf[3]),
-            next_header: buf[6],
-            hop_limit: buf[7],
-            src: Ipv6Addr::from(src),
-            dst: Ipv6Addr::from(dst),
-            payload: buf[Self::HEADER_LEN..Self::HEADER_LEN + payload_len].to_vec(),
-        })
-    }
-
     /// Copy with hop limit decremented; `None` when it would hit zero.
     pub fn forwarded(&self) -> Option<Ipv6Packet> {
         if self.hop_limit <= 1 {
@@ -106,6 +71,8 @@ impl Ipv6Packet {
 mod tests {
     use super::*;
     use crate::ipv4::proto;
+    use crate::view::Ipv6View;
+    use crate::WireError;
 
     fn sample() -> Ipv6Packet {
         let mut p = Ipv6Packet::new(
@@ -122,7 +89,7 @@ mod tests {
     #[test]
     fn roundtrip() {
         let p = sample();
-        assert_eq!(Ipv6Packet::decode(&p.encode()).unwrap(), p);
+        assert_eq!(Ipv6View::parse(&p.encode()).unwrap().to_packet(), p);
     }
 
     #[test]
@@ -130,7 +97,7 @@ mod tests {
         let mut bytes = sample().encode();
         bytes[0] = 0x45;
         assert!(matches!(
-            Ipv6Packet::decode(&bytes),
+            Ipv6View::parse(&bytes),
             Err(WireError::BadField { .. })
         ));
     }
@@ -140,7 +107,7 @@ mod tests {
         let p = sample();
         let mut bytes = p.encode();
         bytes.extend_from_slice(&[0u8; 6]); // link padding
-        assert_eq!(Ipv6Packet::decode(&bytes).unwrap().payload, p.payload);
+        assert_eq!(Ipv6View::parse(&bytes).unwrap().payload, p.payload);
     }
 
     #[test]
@@ -149,7 +116,7 @@ mod tests {
         let mut bytes = p.encode();
         bytes[4] = 0xff; // claim a huge payload
         assert!(matches!(
-            Ipv6Packet::decode(&bytes),
+            Ipv6View::parse(&bytes),
             Err(WireError::BadLength { .. })
         ));
     }

@@ -1,7 +1,7 @@
 //! # v6wire — wire formats for the sc24v6 testbed simulator
 //!
-//! Hand-rolled, allocation-conscious encoders/decoders for every protocol the
-//! paper's testbed carries on the wire:
+//! Hand-rolled, allocation-conscious encoders and one zero-copy parser for
+//! every protocol the paper's testbed carries on the wire:
 //!
 //! * Ethernet II framing and MAC addressing ([`mac`], [`ethernet`])
 //! * ARP ([`arp`])
@@ -11,14 +11,13 @@
 //!   PIO / RDNSS / DNSSL / MTU options ([`icmpv6`], [`ndp`])
 //! * The internet checksum and v4/v6 pseudo-headers ([`checksum`]), with a
 //!   runtime-dispatched scalar/SWAR kernel pair
-//! * Borrowed zero-copy frame views ([`view`]), differentially tested
-//!   against the owned decoders by `tests/conformance.rs`
+//! * The parser: borrowed zero-copy frame views ([`view`]), pinned by
+//!   `tests/conformance.rs`
 //!
 //! Every codec is a pure function over byte slices: `encode` appends to a
-//! `Vec<u8>`, `decode` borrows from a `&[u8]` and never allocates unless the
-//! parsed representation inherently owns data (e.g. a payload copy). The
-//! [`view`] layer drops even that copy: it parses to borrowed slices and
-//! converts to the owned structs only on demand.
+//! `Vec<u8>`, and [`view::FrameView::parse`] (or a per-layer view's `parse`)
+//! borrows from a `&[u8]` without allocating. The owned structs are built
+//! by callers and encoders, or materialised from a view on demand.
 //!
 //! The higher layers (DNS, DHCP) own their own codecs in `v6dns` / `v6dhcp`
 //! and ride inside [`udp::UdpDatagram`] payloads.
@@ -57,7 +56,7 @@ pub use tcp::{TcpFlags, TcpSegment};
 pub use udp::UdpDatagram;
 pub use view::{FrameView, L3View, L4View};
 
-/// Errors produced by any `v6wire` decoder.
+/// Errors produced by the `v6wire` parser.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
     /// Input ended before the fixed header or declared length was satisfied.

@@ -5,10 +5,10 @@
 //! priority**").
 //!
 //! These are bodies only; [`crate::icmpv6::Icmpv6Message`] adds the ICMPv6
-//! type/code/checksum envelope.
+//! type/code/checksum envelope. Parsing is [`crate::view::NdpOptionsView`]
+//! and [`crate::view::RaView`].
 
 use crate::mac::MacAddr;
-use crate::{be16, be32, need, WireError, WireResult};
 use std::net::Ipv6Addr;
 
 /// Default router preference (RFC 4191 §2.1).
@@ -106,27 +106,6 @@ fn encode_labels(out: &mut Vec<u8>, name: &str) {
     out.push(0);
 }
 
-/// Decode one DNS-label-form name from `buf` starting at `pos`; returns the
-/// name and the position after its terminating zero.
-fn decode_labels(buf: &[u8], mut pos: usize) -> WireResult<(String, usize)> {
-    let mut name = String::new();
-    loop {
-        need(buf, pos + 1, "ndp-dnssl")?;
-        let len = usize::from(buf[pos]);
-        pos += 1;
-        if len == 0 {
-            break;
-        }
-        need(buf, pos + len, "ndp-dnssl")?;
-        if !name.is_empty() {
-            name.push('.');
-        }
-        name.push_str(&String::from_utf8_lossy(&buf[pos..pos + len]));
-        pos += len;
-    }
-    Ok((name, pos))
-}
-
 impl NdpOption {
     /// Serialize (type, length-in-8-octet-units, body, padding).
     pub fn encode(&self, out: &mut Vec<u8>) {
@@ -217,94 +196,6 @@ impl NdpOption {
             }
         }
         debug_assert_eq!((out.len() - start) % 8, 0, "NDP option not 8-aligned");
-    }
-
-    /// Parse all options from `buf`.
-    pub fn decode_all(mut buf: &[u8]) -> WireResult<Vec<NdpOption>> {
-        let mut opts = Vec::new();
-        while !buf.is_empty() {
-            need(buf, 2, "ndp-option")?;
-            let ty = buf[0];
-            let len = usize::from(buf[1]) * 8;
-            if len == 0 {
-                return Err(WireError::BadLength {
-                    what: "ndp-option-zero-len",
-                    claimed: 0,
-                    actual: buf.len(),
-                });
-            }
-            need(buf, len, "ndp-option")?;
-            let body = &buf[..len];
-            let opt = match ty {
-                1 => NdpOption::SourceLinkLayer(MacAddr::decode(&body[2..8])?),
-                2 => NdpOption::TargetLinkLayer(MacAddr::decode(&body[2..8])?),
-                3 => {
-                    need(body, 32, "ndp-pio")?;
-                    let mut prefix = [0u8; 16];
-                    prefix.copy_from_slice(&body[16..32]);
-                    NdpOption::PrefixInformation {
-                        prefix_len: body[2],
-                        on_link: body[3] & 0x80 != 0,
-                        autonomous: body[3] & 0x40 != 0,
-                        valid_lifetime: be32(body, 4, "ndp-pio")?,
-                        preferred_lifetime: be32(body, 8, "ndp-pio")?,
-                        prefix: Ipv6Addr::from(prefix),
-                    }
-                }
-                5 => {
-                    need(body, 8, "ndp-mtu")?;
-                    NdpOption::Mtu(be32(body, 4, "ndp-mtu")?)
-                }
-                25 => {
-                    need(body, 8, "ndp-rdnss")?;
-                    let lifetime = be32(body, 4, "ndp-rdnss")?;
-                    let mut servers = Vec::new();
-                    let mut pos = 8;
-                    while pos + 16 <= body.len() {
-                        let mut a = [0u8; 16];
-                        a.copy_from_slice(&body[pos..pos + 16]);
-                        servers.push(Ipv6Addr::from(a));
-                        pos += 16;
-                    }
-                    NdpOption::Rdnss { lifetime, servers }
-                }
-                31 => {
-                    need(body, 8, "ndp-dnssl")?;
-                    let lifetime = be32(body, 4, "ndp-dnssl")?;
-                    let mut domains = Vec::new();
-                    let mut pos = 8;
-                    while pos < body.len() && body[pos] != 0 {
-                        let (name, next) = decode_labels(body, pos)?;
-                        domains.push(name);
-                        pos = next;
-                    }
-                    NdpOption::Dnssl { lifetime, domains }
-                }
-                38 => {
-                    need(body, 16, "ndp-pref64")?;
-                    let scaled = be16(body, 2, "ndp-pref64")?;
-                    let prefix_len = match scaled & 0b111 {
-                        0 => 96,
-                        1 => 64,
-                        2 => 56,
-                        3 => 48,
-                        4 => 40,
-                        _ => 32,
-                    };
-                    let mut o = [0u8; 16];
-                    o[..12].copy_from_slice(&body[4..16]);
-                    NdpOption::Pref64 {
-                        lifetime: (scaled >> 3) * 8,
-                        prefix: Ipv6Addr::from(o),
-                        prefix_len,
-                    }
-                }
-                other => NdpOption::Unknown(other, body[2..].to_vec()),
-            };
-            opts.push(opt);
-            buf = &buf[len..];
-        }
-        Ok(opts)
     }
 }
 
@@ -397,20 +288,6 @@ impl RouterAdvertisement {
             opt.encode(out);
         }
     }
-
-    pub(crate) fn decode_body(buf: &[u8]) -> WireResult<Self> {
-        need(buf, 12, "ndp-ra")?;
-        Ok(RouterAdvertisement {
-            cur_hop_limit: buf[0],
-            managed: buf[1] & 0x80 != 0,
-            other_config: buf[1] & 0x40 != 0,
-            preference: RouterPreference::from_bits(buf[1] >> 3),
-            router_lifetime: be16(buf, 2, "ndp-ra")?,
-            reachable_time: be32(buf, 4, "ndp-ra")?,
-            retrans_timer: be32(buf, 8, "ndp-ra")?,
-            options: NdpOption::decode_all(&buf[12..])?,
-        })
-    }
 }
 
 /// Neighbor Solicitation (RFC 4861 §4.3) body.
@@ -440,6 +317,12 @@ pub struct NeighborAdvertisement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::{NdpOptionsView, RaView};
+    use crate::WireResult;
+
+    fn parse_options(buf: &[u8]) -> WireResult<Vec<NdpOption>> {
+        NdpOptionsView::parse(buf).map(|v| v.to_options())
+    }
 
     fn testbed_ra() -> RouterAdvertisement {
         // The managed-switch RA from the paper: fd00:976a::/64, low priority,
@@ -473,7 +356,7 @@ mod tests {
         let ra = testbed_ra();
         let mut buf = Vec::new();
         ra.encode_body(&mut buf);
-        let got = RouterAdvertisement::decode_body(&buf).unwrap();
+        let got = RaView::parse(&buf).unwrap().to_ra();
         assert_eq!(got, ra);
     }
 
@@ -512,7 +395,7 @@ mod tests {
         let mut buf = Vec::new();
         opt.encode(&mut buf);
         assert_eq!(buf.len() % 8, 0);
-        let got = NdpOption::decode_all(&buf).unwrap();
+        let got = parse_options(&buf).unwrap();
         assert_eq!(got, vec![opt]);
     }
 
@@ -521,7 +404,7 @@ mod tests {
         let mut buf = Vec::new();
         NdpOption::Unknown(200, vec![1, 2, 3]).encode(&mut buf);
         NdpOption::Mtu(1280).encode(&mut buf);
-        let got = NdpOption::decode_all(&buf).unwrap();
+        let got = parse_options(&buf).unwrap();
         assert_eq!(got.len(), 2);
         assert_eq!(got[1], NdpOption::Mtu(1280));
     }
@@ -530,7 +413,7 @@ mod tests {
     fn zero_length_option_rejected() {
         // RFC 4861 §4.6: length 0 MUST be discarded.
         let buf = [25u8, 0, 0, 0, 0, 0, 0, 0];
-        assert!(NdpOption::decode_all(&buf).is_err());
+        assert!(parse_options(&buf).is_err());
     }
 
     #[test]
@@ -545,7 +428,7 @@ mod tests {
             let mut buf = Vec::new();
             opt.encode(&mut buf);
             assert_eq!(buf.len(), 16, "fixed 16-byte option");
-            let got = NdpOption::decode_all(&buf).unwrap();
+            let got = parse_options(&buf).unwrap();
             match &got[0] {
                 NdpOption::Pref64 {
                     lifetime,
@@ -574,6 +457,6 @@ mod tests {
         let mut buf = Vec::new();
         opt.encode(&mut buf);
         assert_eq!(buf[1], 5); // 1 + 2*2 units of 8 octets
-        assert_eq!(NdpOption::decode_all(&buf).unwrap(), vec![opt]);
+        assert_eq!(parse_options(&buf).unwrap(), vec![opt]);
     }
 }

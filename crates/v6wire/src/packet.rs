@@ -1,8 +1,9 @@
-//! Layered frame parsing and building conveniences.
+//! Owned layered frames and building conveniences.
 //!
-//! The simulator moves raw `Vec<u8>` Ethernet frames; devices use
-//! [`ParsedFrame::parse`] to get a structured view down to L4 in one call and
-//! the `build_*` helpers to emit complete frames.
+//! The simulator moves raw `Vec<u8>` Ethernet frames; devices parse them with
+//! [`FrameView::parse`] down to L4 in one call and emit complete frames with
+//! the `build_*` helpers. [`ParsedFrame`] is the owned materialisation of a
+//! view ([`FrameView::to_parsed`]).
 
 use crate::arp::ArpPacket;
 use crate::ethernet::{EtherType, EthernetFrame};
@@ -14,7 +15,7 @@ use crate::mac::MacAddr;
 use crate::tcp::TcpSegment;
 use crate::udp::UdpDatagram;
 use crate::view::{FrameView, Icmp4View, Icmp6View, L3View, L4View, TcpView};
-use crate::{WireError, WireResult};
+use crate::WireError;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// Network-layer content of a frame.
@@ -57,38 +58,6 @@ pub struct ParsedFrame {
 }
 
 impl ParsedFrame {
-    /// Parse a raw frame through all layers, verifying every checksum on the
-    /// way. Unknown ethertypes and IP protocols parse to `Other`/`None`
-    /// rather than erroring; genuine corruption does error.
-    pub fn parse(raw: &[u8]) -> WireResult<ParsedFrame> {
-        let eth = EthernetFrame::decode(raw)?;
-        let (l3, l4) = match eth.ethertype {
-            EtherType::Arp => (L3::Arp(ArpPacket::decode(&eth.payload)?), L4::None),
-            EtherType::Ipv4 => {
-                let ip = Ipv4Packet::decode(&eth.payload)?;
-                let l4 = match ip.protocol {
-                    proto::UDP => L4::Udp(UdpDatagram::decode_v4(&ip.payload, ip.src, ip.dst)?),
-                    proto::TCP => L4::Tcp(TcpSegment::decode_v4(&ip.payload, ip.src, ip.dst)?),
-                    proto::ICMP => L4::Icmp4(Icmpv4Message::decode(&ip.payload)?),
-                    _ => L4::None,
-                };
-                (L3::V4(ip), l4)
-            }
-            EtherType::Ipv6 => {
-                let ip = Ipv6Packet::decode(&eth.payload)?;
-                let l4 = match ip.next_header {
-                    proto::UDP => L4::Udp(UdpDatagram::decode_v6(&ip.payload, ip.src, ip.dst)?),
-                    proto::TCP => L4::Tcp(TcpSegment::decode_v6(&ip.payload, ip.src, ip.dst)?),
-                    proto::ICMPV6 => L4::Icmp6(Icmpv6Message::decode(&ip.payload, ip.src, ip.dst)?),
-                    _ => L4::None,
-                };
-                (L3::V6(ip), l4)
-            }
-            EtherType::Other(v) => (L3::Other(v, eth.payload.clone()), L4::None),
-        };
-        Ok(ParsedFrame { eth, l3, l4 })
-    }
-
     /// The IPv6 source, if this is an IPv6 frame.
     pub fn v6_src(&self) -> Option<Ipv6Addr> {
         match &self.l3 {
@@ -198,8 +167,7 @@ pub fn build_arp(src_mac: MacAddr, dst_mac: MacAddr, arp: &ArpPacket) -> Vec<u8>
 ///
 /// Parses through the borrowed [`FrameView`] layer, so the only allocation
 /// per call is the returned `String` — this is the engine's Full-trace hot
-/// path. Text is byte-identical to the historic owned-parse implementation
-/// (golden traces and the conformance suite both pin it).
+/// path. Golden traces and the conformance suite pin the text.
 pub fn summarize(raw: &[u8]) -> String {
     let parsed = match FrameView::parse(raw) {
         Ok(p) => p,
@@ -309,9 +277,7 @@ fn icmp6_name(m: &Icmp6View<'_>) -> &'static str {
 }
 
 /// Corrupt-frame classification used by trace tooling: returns a short label
-/// for why `parse` failed, or "ok". Allocation-free: classifies through the
-/// borrowed view layer (whose errors are proven identical to the owned
-/// decoders' by the conformance suite).
+/// for why [`FrameView::parse`] failed, or "ok". Allocation-free.
 pub fn classify(raw: &[u8]) -> &'static str {
     match FrameView::parse(raw) {
         Ok(_) => "ok",
@@ -341,7 +307,7 @@ mod tests {
             "fd00:976a::9".parse().unwrap(),
             &d,
         );
-        let p = ParsedFrame::parse(&raw).unwrap();
+        let p = FrameView::parse(&raw).unwrap().to_parsed();
         assert!(matches!(p.l3, L3::V6(_)));
         match p.l4 {
             L4::Udp(got) => assert_eq!(got, d),
@@ -359,7 +325,7 @@ mod tests {
             "23.153.8.71".parse().unwrap(),
             &seg,
         );
-        let p = ParsedFrame::parse(&raw).unwrap();
+        let p = FrameView::parse(&raw).unwrap().to_parsed();
         assert!(matches!(p.l4, L4::Tcp(_)));
         assert_eq!(p.v4_src(), Some("192.168.12.50".parse().unwrap()));
     }
@@ -374,7 +340,7 @@ mod tests {
             crate::icmpv6::all_routers(),
             &msg,
         );
-        let p = ParsedFrame::parse(&raw).unwrap();
+        let p = FrameView::parse(&raw).unwrap().to_parsed();
         match p.l3 {
             L3::V6(ip) => assert_eq!(ip.hop_limit, 255),
             other => panic!("unexpected l3: {other:?}"),
@@ -395,7 +361,7 @@ mod tests {
             "fd00::2".parse().unwrap(),
             &msg,
         );
-        match ParsedFrame::parse(&raw).unwrap().l3 {
+        match FrameView::parse(&raw).unwrap().to_parsed().l3 {
             L3::V6(ip) => assert_eq!(ip.hop_limit, 64),
             other => panic!("unexpected l3: {other:?}"),
         }
@@ -420,7 +386,7 @@ mod tests {
     #[test]
     fn unknown_ethertype_is_other() {
         let f = EthernetFrame::new(mac(1), mac(2), EtherType::Other(0x88cc), vec![9, 9]);
-        let p = ParsedFrame::parse(&f.encode()).unwrap();
+        let p = FrameView::parse(&f.encode()).unwrap().to_parsed();
         assert!(matches!(p.l3, L3::Other(0x88cc, _)));
         assert!(matches!(p.l4, L4::None));
     }

@@ -1,10 +1,10 @@
-//! TCP (RFC 9293) segment encode/decode with pseudo-header checksums.
+//! TCP (RFC 9293) segments and their encoder, with pseudo-header checksums.
+//! Parsing is [`crate::view::TcpView`].
 //!
 //! Only the MSS option is modelled; the simulator's TCP endpoints (in
 //! `v6sim::tcp`) implement the connection state machine on top of this codec.
 
 use crate::checksum::{pseudo_v4, pseudo_v6};
-use crate::{be16, be32, need, WireError, WireResult};
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// TCP flag bits.
@@ -172,78 +172,6 @@ impl TcpSegment {
         out
     }
 
-    fn decode_raw(buf: &[u8]) -> WireResult<Self> {
-        need(buf, Self::HEADER_LEN, "tcp")?;
-        let data_off = usize::from(buf[12] >> 4) * 4;
-        if data_off < Self::HEADER_LEN || data_off > buf.len() {
-            return Err(WireError::BadLength {
-                what: "tcp-data-offset",
-                claimed: data_off,
-                actual: buf.len(),
-            });
-        }
-        let mut mss = None;
-        let mut opts = &buf[Self::HEADER_LEN..data_off];
-        while let Some(&kind) = opts.first() {
-            match kind {
-                0 => break,             // end of options
-                1 => opts = &opts[1..], // NOP
-                2 => {
-                    need(opts, 4, "tcp-mss")?;
-                    mss = Some(u16::from_be_bytes([opts[2], opts[3]]));
-                    opts = &opts[4..];
-                }
-                _ => {
-                    // Unknown option: skip by its length byte.
-                    need(opts, 2, "tcp-opt")?;
-                    let l = usize::from(opts[1]).max(2);
-                    need(opts, l, "tcp-opt")?;
-                    opts = &opts[l..];
-                }
-            }
-        }
-        Ok(TcpSegment {
-            src_port: be16(buf, 0, "tcp")?,
-            dst_port: be16(buf, 2, "tcp")?,
-            seq: be32(buf, 4, "tcp")?,
-            ack: be32(buf, 8, "tcp")?,
-            flags: TcpFlags::from_byte(buf[13]),
-            window: be16(buf, 14, "tcp")?,
-            mss,
-            payload: buf[data_off..].to_vec(),
-        })
-    }
-
-    /// Parse and verify against an IPv4 pseudo-header.
-    pub fn decode_v4(buf: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> WireResult<Self> {
-        let mut ck = pseudo_v4(src, dst, crate::ipv4::proto::TCP, buf.len() as u16);
-        ck.push(buf);
-        let sum = ck.finish();
-        if sum != 0 {
-            return Err(WireError::BadChecksum {
-                what: "tcp-v4",
-                found: be16(buf, 16, "tcp")?,
-                expected: sum,
-            });
-        }
-        Self::decode_raw(buf)
-    }
-
-    /// Parse and verify against an IPv6 pseudo-header.
-    pub fn decode_v6(buf: &[u8], src: Ipv6Addr, dst: Ipv6Addr) -> WireResult<Self> {
-        let mut ck = pseudo_v6(src, dst, crate::ipv4::proto::TCP, buf.len() as u32);
-        ck.push(buf);
-        let sum = ck.finish();
-        if sum != 0 {
-            return Err(WireError::BadChecksum {
-                what: "tcp-v6",
-                found: be16(buf, 16, "tcp")?,
-                expected: sum,
-            });
-        }
-        Self::decode_raw(buf)
-    }
-
     /// The amount of sequence space this segment consumes (SYN and FIN each
     /// count as one octet).
     pub fn seq_len(&self) -> u32 {
@@ -254,6 +182,7 @@ impl TcpSegment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::TcpView;
 
     const S6: &str = "2607:fb90:9bda:a425::1";
     const D6: &str = "64:ff9b::be5c:9e04";
@@ -263,7 +192,9 @@ mod tests {
         let mut seg = TcpSegment::new(50000, 80, 1000, 0, TcpFlags::SYN);
         seg.mss = Some(1220);
         let bytes = seg.encode_v6(S6.parse().unwrap(), D6.parse().unwrap());
-        let got = TcpSegment::decode_v6(&bytes, S6.parse().unwrap(), D6.parse().unwrap()).unwrap();
+        let got = TcpView::parse_v6(&bytes, S6.parse().unwrap(), D6.parse().unwrap())
+            .unwrap()
+            .to_segment();
         assert_eq!(got, seg);
     }
 
@@ -274,7 +205,7 @@ mod tests {
         let s: Ipv4Addr = "192.168.12.50".parse().unwrap();
         let d: Ipv4Addr = "23.153.8.71".parse().unwrap();
         let bytes = seg.encode_v4(s, d);
-        assert_eq!(TcpSegment::decode_v4(&bytes, s, d).unwrap(), seg);
+        assert_eq!(TcpView::parse_v4(&bytes, s, d).unwrap().to_segment(), seg);
     }
 
     #[test]
@@ -282,8 +213,7 @@ mod tests {
         let seg = TcpSegment::new(1, 2, 3, 4, TcpFlags::ACK);
         let bytes = seg.encode_v6(S6.parse().unwrap(), D6.parse().unwrap());
         assert!(
-            TcpSegment::decode_v6(&bytes, "2001:db8::1".parse().unwrap(), D6.parse().unwrap())
-                .is_err()
+            TcpView::parse_v6(&bytes, "2001:db8::1".parse().unwrap(), D6.parse().unwrap()).is_err()
         );
     }
 

@@ -1,7 +1,6 @@
 //! UDP (RFC 768) with pseudo-header checksums for both IP families.
 
 use crate::checksum::{pseudo_v4, pseudo_v6};
-use crate::{be16, need, WireError, WireResult};
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// Well-known ports the testbed uses.
@@ -16,7 +15,8 @@ pub mod port {
     pub const HTTP: u16 = 80;
 }
 
-/// A UDP datagram (header + payload, checksum handled at encode/decode time).
+/// A UDP datagram (header + payload; the checksum is computed at encode time
+/// and verified by [`crate::view::UdpView`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UdpDatagram {
     /// Source port.
@@ -76,78 +76,13 @@ impl UdpDatagram {
         out[6..8].copy_from_slice(&sum.to_be_bytes());
         out
     }
-
-    fn decode_common(buf: &[u8]) -> WireResult<(Self, u16)> {
-        need(buf, Self::HEADER_LEN, "udp")?;
-        let len = usize::from(be16(buf, 4, "udp")?);
-        if len < Self::HEADER_LEN || len > buf.len() {
-            return Err(WireError::BadLength {
-                what: "udp-length",
-                claimed: len,
-                actual: buf.len(),
-            });
-        }
-        let wire_ck = be16(buf, 6, "udp")?;
-        Ok((
-            UdpDatagram {
-                src_port: be16(buf, 0, "udp")?,
-                dst_port: be16(buf, 2, "udp")?,
-                payload: buf[Self::HEADER_LEN..len].to_vec(),
-            },
-            wire_ck,
-        ))
-    }
-
-    /// Parse and verify against an IPv4 pseudo-header. A zero checksum means
-    /// "not computed" and is accepted (RFC 768).
-    pub fn decode_v4(buf: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> WireResult<Self> {
-        let (dgram, wire_ck) = Self::decode_common(buf)?;
-        if wire_ck != 0 {
-            let len = usize::from(be16(buf, 4, "udp")?);
-            let mut ck = pseudo_v4(src, dst, crate::ipv4::proto::UDP, len as u16);
-            ck.push(&buf[..len]);
-            let sum = ck.finish();
-            // Data including its own checksum verifies to zero.
-            if sum != 0 {
-                return Err(WireError::BadChecksum {
-                    what: "udp-v4",
-                    found: wire_ck,
-                    expected: sum,
-                });
-            }
-        }
-        Ok(dgram)
-    }
-
-    /// Parse and verify against an IPv6 pseudo-header. A zero checksum is
-    /// *illegal* for UDP over IPv6 (RFC 8200 §8.1) and is rejected.
-    pub fn decode_v6(buf: &[u8], src: Ipv6Addr, dst: Ipv6Addr) -> WireResult<Self> {
-        let (dgram, wire_ck) = Self::decode_common(buf)?;
-        if wire_ck == 0 {
-            return Err(WireError::BadChecksum {
-                what: "udp-v6-zero",
-                found: 0,
-                expected: 0xffff,
-            });
-        }
-        let len = usize::from(be16(buf, 4, "udp")?);
-        let mut ck = pseudo_v6(src, dst, crate::ipv4::proto::UDP, len as u32);
-        ck.push(&buf[..len]);
-        let sum = ck.finish();
-        if sum != 0 {
-            return Err(WireError::BadChecksum {
-                what: "udp-v6",
-                found: wire_ck,
-                expected: sum,
-            });
-        }
-        Ok(dgram)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::UdpView;
+    use crate::WireError;
 
     const S4: &str = "192.168.12.50";
     const D4: &str = "192.168.12.251";
@@ -162,7 +97,9 @@ mod tests {
     fn v4_roundtrip() {
         let d = dgram();
         let bytes = d.encode_v4(S4.parse().unwrap(), D4.parse().unwrap());
-        let got = UdpDatagram::decode_v4(&bytes, S4.parse().unwrap(), D4.parse().unwrap()).unwrap();
+        let got = UdpView::parse_v4(&bytes, S4.parse().unwrap(), D4.parse().unwrap())
+            .unwrap()
+            .to_datagram();
         assert_eq!(got, d);
     }
 
@@ -170,7 +107,9 @@ mod tests {
     fn v6_roundtrip() {
         let d = dgram();
         let bytes = d.encode_v6(S6.parse().unwrap(), D6.parse().unwrap());
-        let got = UdpDatagram::decode_v6(&bytes, S6.parse().unwrap(), D6.parse().unwrap()).unwrap();
+        let got = UdpView::parse_v6(&bytes, S6.parse().unwrap(), D6.parse().unwrap())
+            .unwrap()
+            .to_datagram();
         assert_eq!(got, d);
     }
 
@@ -179,7 +118,7 @@ mod tests {
         let d = dgram();
         let bytes = d.encode_v4(S4.parse().unwrap(), D4.parse().unwrap());
         // NAT rewrote the source without fixing the checksum: must fail.
-        let err = UdpDatagram::decode_v4(&bytes, "10.9.9.9".parse().unwrap(), D4.parse().unwrap());
+        let err = UdpView::parse_v4(&bytes, "10.9.9.9".parse().unwrap(), D4.parse().unwrap());
         assert!(matches!(err, Err(WireError::BadChecksum { .. })));
     }
 
@@ -189,11 +128,11 @@ mod tests {
         let mut bytes = d.encode_v4(S4.parse().unwrap(), D4.parse().unwrap());
         bytes[6] = 0;
         bytes[7] = 0;
-        assert!(UdpDatagram::decode_v4(&bytes, S4.parse().unwrap(), D4.parse().unwrap()).is_ok());
+        assert!(UdpView::parse_v4(&bytes, S4.parse().unwrap(), D4.parse().unwrap()).is_ok());
         let mut bytes6 = d.encode_v6(S6.parse().unwrap(), D6.parse().unwrap());
         bytes6[6] = 0;
         bytes6[7] = 0;
-        assert!(UdpDatagram::decode_v6(&bytes6, S6.parse().unwrap(), D6.parse().unwrap()).is_err());
+        assert!(UdpView::parse_v6(&bytes6, S6.parse().unwrap(), D6.parse().unwrap()).is_err());
     }
 
     #[test]
@@ -202,6 +141,6 @@ mod tests {
         let mut bytes = d.encode_v6(S6.parse().unwrap(), D6.parse().unwrap());
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
-        assert!(UdpDatagram::decode_v6(&bytes, S6.parse().unwrap(), D6.parse().unwrap()).is_err());
+        assert!(UdpView::parse_v6(&bytes, S6.parse().unwrap(), D6.parse().unwrap()).is_err());
     }
 }

@@ -1,25 +1,21 @@
-//! Borrowed, zero-copy frame views over pooled buffers.
+//! The frame parser: borrowed, zero-copy views over pooled buffers.
 //!
-//! [`FrameView::parse`] walks the same Ethernet → IP → transport layering as
-//! [`crate::packet::ParsedFrame::parse`] but never copies a payload: every
-//! view borrows from the input slice, scalar fields are decoded on the spot,
-//! and variable-length content (NDP options, invoking packets, payloads) is
-//! kept as a validated sub-slice that can be re-walked or converted on
-//! demand.
+//! [`FrameView::parse`] is the one decoder for Ethernet, ARP, IPv4/6, UDP,
+//! TCP, ICMPv4/6 and NDP. It walks Ethernet → IP → transport and verifies
+//! every checksum, but never copies a payload: every view borrows from the
+//! input slice, scalar fields are decoded on the spot, and variable-length
+//! content (NDP options, invoking packets, payloads) is kept as a validated
+//! sub-slice that can be re-walked or converted on demand.
 //!
-//! The contract with the owned codecs is *strict observational equality*,
-//! machine-checked by `tests/conformance.rs`:
+//! The owned types ([`ParsedFrame`], [`Ipv4Packet`], [`UdpDatagram`], …)
+//! are builders and encoders; a view becomes one only through its `to_*`
+//! conversion ([`FrameView::to_parsed`], [`UdpView::to_datagram`], …), which
+//! callers use when they must keep a value beyond the frame buffer.
 //!
-//! * `FrameView::parse(raw)` succeeds exactly when `ParsedFrame::parse(raw)`
-//!   does, and `view.to_owned()` equals the owned parse;
-//! * on malformed input both return the **same** [`WireError`] value —
-//!   including the `need`/`have` counts of truncations and the
-//!   `found`/`expected` pair of checksum failures.
-//!
-//! To keep that guarantee auditable, each view decoder replicates the owned
-//! decoder's validation order line for line; the only intentional difference
-//! is that cold error paths compute "expected" checksums over three slices
-//! (`before-ck`, `[0, 0]`, `after-ck`) instead of zeroing a copied buffer.
+//! Malformed input yields a precise [`WireError`]: the `need`/`have` counts
+//! of a truncation and the `found`/`expected` pair of a checksum failure.
+//! `tests/conformance.rs` pins the exact outcome of every truncation and
+//! single-byte corruption of the committed corpus.
 
 use crate::arp::ArpPacket;
 use crate::checksum::{checksum, pseudo_v4, pseudo_v6, Checksum};
@@ -543,8 +539,8 @@ impl<'a> Icmp4View<'a> {
 
 /// A validated, non-allocating run of NDP options.
 ///
-/// Construction walks the whole slice once, replicating every error of
-/// [`NdpOption::decode_all`]; afterwards [`NdpOptionsView::iter`] and
+/// Construction walks the whole slice once, validating every option's
+/// length and per-type shape; afterwards [`NdpOptionsView::iter`] and
 /// [`NdpOptionsView::to_options`] re-walk infallibly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NdpOptionsView<'a> {
@@ -601,9 +597,7 @@ impl<'a> NdpOptionsView<'a> {
         })
     }
 
-    /// Build the owned option list. This re-walks the raw bytes with its own
-    /// per-type constructors (it does not call [`NdpOption::decode_all`]), so
-    /// the owned and borrowed paths stay independently implemented.
+    /// Build the owned option list.
     pub fn to_options(&self) -> Vec<NdpOption> {
         self.iter().map(|o| o.to_option()).collect()
     }
@@ -686,13 +680,13 @@ impl<'a> NdpOptionView<'a> {
     }
 }
 
-/// Replicate the per-type validation (and the DNSSL label walk) of
-/// [`NdpOption::decode_all`] without building any owned value.
+/// Validate one option's per-type shape (and walk DNSSL labels) without
+/// building any owned value, so [`NdpOptionView::to_option`] cannot fail.
 fn validate_option_body(ty: u8, body: &[u8]) -> WireResult<()> {
     match ty {
         1 | 2 => {
             // `body` is at least 8 bytes here (length unit ≥ 1), so the MAC
-            // slice always decodes; kept for shape parity with decode_all.
+            // slice always decodes.
             MacAddr::decode(&body[2..8])?;
         }
         3 => need(body, 32, "ndp-pio")?,
@@ -742,7 +736,9 @@ pub struct RaView<'a> {
 }
 
 impl<'a> RaView<'a> {
-    fn parse(buf: &'a [u8]) -> WireResult<Self> {
+    /// Parse an RA body: everything after the ICMPv6 type, code and
+    /// checksum.
+    pub(crate) fn parse(buf: &'a [u8]) -> WireResult<Self> {
         need(buf, 12, "ndp-ra")?;
         Ok(RaView {
             cur_hop_limit: buf[0],
@@ -1006,8 +1002,9 @@ pub struct FrameView<'a> {
 }
 
 impl<'a> FrameView<'a> {
-    /// Parse a raw frame through all layers, verifying every checksum,
-    /// with the exact accept/reject behaviour of [`ParsedFrame::parse`].
+    /// Parse a raw frame through all layers, verifying every checksum on
+    /// the way. Unknown ethertypes and IP protocols parse to
+    /// `Other`/`None` rather than erroring; genuine corruption does error.
     pub fn parse(raw: &'a [u8]) -> WireResult<FrameView<'a>> {
         let eth = EthView::parse(raw)?;
         let (l3, l4) = match eth.ethertype {
@@ -1077,8 +1074,8 @@ impl<'a> FrameView<'a> {
 }
 
 /// Checksum of `data` with the 16-bit word at byte offset `ck_off` treated as
-/// zero — the allocation-free equivalent of "copy, zero the checksum field,
-/// recompute" used by the owned decoders' error paths.
+/// zero: the "expected" value a checksum error reports, computed without
+/// copying the buffer.
 fn checksum_excluding(data: &[u8], ck_off: usize) -> u16 {
     let mut c = Checksum::new();
     c.push(&data[..ck_off]);
@@ -1097,17 +1094,18 @@ mod tests {
     }
 
     #[test]
-    fn view_matches_owned_on_udp_v4() {
-        let raw = build_udp_v4(
-            mac(1),
-            mac(2),
+    fn udp_v4_parses_to_the_built_datagram() {
+        let dgram = UdpDatagram::new(68, 67, b"discover".to_vec());
+        let (src, dst) = (
             "192.168.12.50".parse().unwrap(),
             "192.168.12.251".parse().unwrap(),
-            &UdpDatagram::new(68, 67, b"discover".to_vec()),
         );
-        let owned = ParsedFrame::parse(&raw).unwrap();
+        let raw = build_udp_v4(mac(1), mac(2), src, dst, &dgram);
         let view = FrameView::parse(&raw).unwrap();
-        assert_eq!(view.to_parsed(), owned);
+        let parsed = view.to_parsed();
+        assert_eq!(parsed.eth.src, mac(1));
+        assert_eq!(parsed.v4_src(), Some(src));
+        assert_eq!(parsed.l4, L4::Udp(dgram));
         match view.l4 {
             L4View::Udp(u) => assert_eq!(u.payload, b"discover"),
             other => panic!("unexpected l4: {other:?}"),
@@ -1115,7 +1113,7 @@ mod tests {
     }
 
     #[test]
-    fn view_matches_owned_on_ndp_ra() {
+    fn ndp_ra_parses_to_the_built_message() {
         let mut ra = RouterAdvertisement::new(1800);
         ra.preference = RouterPreference::Low;
         ra.options.push(NdpOption::Rdnss {
@@ -1130,13 +1128,12 @@ mod tests {
             crate::icmpv6::all_nodes(),
             &msg,
         );
-        let owned = ParsedFrame::parse(&raw).unwrap();
-        let view = FrameView::parse(&raw).unwrap();
-        assert_eq!(view.to_parsed(), owned);
+        let parsed = FrameView::parse(&raw).unwrap().to_parsed();
+        assert_eq!(parsed.l4, L4::Icmp6(msg));
     }
 
     #[test]
-    fn truncations_agree_with_owned() {
+    fn every_truncation_is_rejected_precisely() {
         let raw = build_udp_v4(
             mac(1),
             mac(2),
@@ -1145,9 +1142,18 @@ mod tests {
             &UdpDatagram::new(1, 2, vec![7; 32]),
         );
         for cut in 0..raw.len() {
-            let owned = ParsedFrame::parse(&raw[..cut]);
-            let view = FrameView::parse(&raw[..cut]).map(|v| v.to_parsed());
-            assert_eq!(owned, view, "cut at {cut}");
+            let err = FrameView::parse(&raw[..cut]).unwrap_err();
+            if cut < EthernetFrame::HEADER_LEN {
+                assert_eq!(
+                    err,
+                    WireError::Truncated {
+                        what: "ethernet",
+                        need: EthernetFrame::HEADER_LEN,
+                        have: cut,
+                    }
+                );
+            }
         }
+        assert!(FrameView::parse(&raw).is_ok());
     }
 }

@@ -13,6 +13,9 @@ use v6wire::ipv6::Ipv6Packet;
 use v6wire::mac::MacAddr;
 use v6wire::tcp::{TcpFlags, TcpSegment};
 use v6wire::udp::UdpDatagram;
+use v6wire::view::{
+    EthView, FrameView, Icmp4View, Icmp6View, Ipv4View, Ipv6View, TcpView, UdpView,
+};
 
 fn arb_mac() -> impl Strategy<Value = MacAddr> {
     any::<[u8; 6]>().prop_map(MacAddr::new)
@@ -67,7 +70,7 @@ proptest! {
     #[test]
     fn ethernet_roundtrip(dst in arb_mac(), src in arb_mac(), et in any::<u16>(), payload in proptest::collection::vec(any::<u8>(), 0..256)) {
         let f = EthernetFrame::new(dst, src, EtherType::from_u16(et), payload);
-        prop_assert_eq!(EthernetFrame::decode(&f.encode()).unwrap(), f);
+        prop_assert_eq!(EthView::parse(&f.encode()).unwrap().to_frame(), f);
     }
 
     #[test]
@@ -89,7 +92,7 @@ proptest! {
         p.dscp_ecn = dscp;
         p.dont_fragment = df;
         p.identification = ident;
-        prop_assert_eq!(Ipv4Packet::decode(&p.encode()).unwrap(), p);
+        prop_assert_eq!(Ipv4View::parse(&p.encode()).unwrap().to_packet(), p);
     }
 
     #[test]
@@ -98,10 +101,10 @@ proptest! {
         let mut bytes = p.encode();
         bytes[byte] ^= 1 << bit;
         // Any single-bit header corruption is either detected or changes a
-        // field covered by checksum — decode must not return the original
+        // field covered by checksum — parse must not return the original
         // unchanged packet with a valid checksum unless the flip undid
         // itself (impossible for a single bit).
-        if let Ok(q) = Ipv4Packet::decode(&bytes) { prop_assert_ne!(q, p) }
+        if let Ok(q) = Ipv4View::parse(&bytes) { prop_assert_ne!(q.to_packet(), p) }
     }
 
     #[test]
@@ -110,16 +113,16 @@ proptest! {
         p.hop_limit = hl;
         p.traffic_class = tc;
         p.flow_label = fl;
-        prop_assert_eq!(Ipv6Packet::decode(&p.encode()).unwrap(), p);
+        prop_assert_eq!(Ipv6View::parse(&p.encode()).unwrap().to_packet(), p);
     }
 
     #[test]
     fn udp_roundtrip_both_families(sp in any::<u16>(), dp in any::<u16>(), payload in proptest::collection::vec(any::<u8>(), 0..512), s4 in arb_v4(), d4 in arb_v4(), s6 in arb_v6(), d6 in arb_v6()) {
         let d = UdpDatagram::new(sp, dp, payload);
         let b4 = d.encode_v4(s4, d4);
-        prop_assert_eq!(UdpDatagram::decode_v4(&b4, s4, d4).unwrap(), d.clone());
+        prop_assert_eq!(UdpView::parse_v4(&b4, s4, d4).unwrap().to_datagram(), d.clone());
         let b6 = d.encode_v6(s6, d6);
-        prop_assert_eq!(UdpDatagram::decode_v6(&b6, s6, d6).unwrap(), d);
+        prop_assert_eq!(UdpView::parse_v6(&b6, s6, d6).unwrap().to_datagram(), d);
     }
 
     #[test]
@@ -130,7 +133,7 @@ proptest! {
         // Skip flips in the length field, which change framing rather than
         // content (caught as BadLength, also an error).
         bytes[at] ^= 1 << bit;
-        prop_assert!(UdpDatagram::decode_v6(&bytes, s6, d6).is_err());
+        prop_assert!(UdpView::parse_v6(&bytes, s6, d6).is_err());
     }
 
     #[test]
@@ -140,30 +143,30 @@ proptest! {
         seg.mss = mss;
         seg.payload = payload;
         let bytes = seg.encode_v6(s6, d6);
-        prop_assert_eq!(TcpSegment::decode_v6(&bytes, s6, d6).unwrap(), seg);
+        prop_assert_eq!(TcpView::parse_v6(&bytes, s6, d6).unwrap().to_segment(), seg);
     }
 
     #[test]
     fn icmpv4_echo_roundtrip(ident in any::<u16>(), seqn in any::<u16>(), payload in proptest::collection::vec(any::<u8>(), 0..128)) {
         let m = Icmpv4Message::EchoRequest { ident, seq: seqn, payload };
-        prop_assert_eq!(Icmpv4Message::decode(&m.encode()).unwrap(), m);
+        prop_assert_eq!(Icmp4View::parse(&m.encode()).unwrap().to_message(), m);
     }
 
     #[test]
     fn icmpv6_echo_roundtrip(ident in any::<u16>(), seqn in any::<u16>(), payload in proptest::collection::vec(any::<u8>(), 0..128), s6 in arb_v6(), d6 in arb_v6()) {
         let m = Icmpv6Message::EchoReply { ident, seq: seqn, payload };
         let bytes = m.encode(s6, d6);
-        prop_assert_eq!(Icmpv6Message::decode(&bytes, s6, d6).unwrap(), m);
+        prop_assert_eq!(Icmp6View::parse(&bytes, s6, d6).unwrap().to_message(), m);
     }
 
     #[test]
     fn decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         // Fuzz the whole layered parser: errors are fine, panics are not.
-        let _ = v6wire::packet::ParsedFrame::parse(&bytes);
-        let _ = Ipv4Packet::decode(&bytes);
-        let _ = Ipv6Packet::decode(&bytes);
+        let _ = FrameView::parse(&bytes).map(|v| v.to_parsed());
+        let _ = Ipv4View::parse(&bytes).map(|v| v.to_packet());
+        let _ = Ipv6View::parse(&bytes).map(|v| v.to_packet());
         let _ = ArpPacket::decode(&bytes);
-        let _ = Icmpv4Message::decode(&bytes);
+        let _ = Icmp4View::parse(&bytes).map(|v| v.to_message());
     }
 }
 

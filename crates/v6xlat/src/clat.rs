@@ -67,6 +67,7 @@ mod tests {
     use crate::nat64::Nat64;
     use v6wire::ipv4::proto;
     use v6wire::udp::UdpDatagram;
+    use v6wire::view::UdpView;
 
     fn clat() -> Clat {
         Clat::new(
@@ -89,8 +90,8 @@ mod tests {
         let out = c.v4_out(&pkt).unwrap();
         assert_eq!(out.src, c.clat_v6);
         assert_eq!(out.dst, "64:ff9b::2c0c:709".parse::<Ipv6Addr>().unwrap());
-        let od = UdpDatagram::decode_v6(&out.payload, out.src, out.dst).unwrap();
-        assert_eq!(od, d);
+        let od = UdpView::parse_v6(&out.payload, out.src, out.dst).unwrap();
+        assert_eq!(od.to_datagram(), d);
     }
 
     #[test]
@@ -134,7 +135,7 @@ mod tests {
         let on_wire_v6 = c.v4_out(&app).unwrap();
         let at_server = plat.v6_to_v4(&on_wire_v6, 100).unwrap();
         assert_eq!(at_server.dst, server);
-        let sd = UdpDatagram::decode_v4(&at_server.payload, at_server.src, at_server.dst).unwrap();
+        let sd = UdpView::parse_v4(&at_server.payload, at_server.src, at_server.dst).unwrap();
         assert_eq!(sd.payload, b"hello repeater");
 
         // Server reply retraces the path.
@@ -149,7 +150,7 @@ mod tests {
         let back_v4 = c.v6_in(&back_v6).unwrap();
         assert_eq!(back_v4.src, server);
         assert_eq!(back_v4.dst, c.host_v4);
-        let rd = UdpDatagram::decode_v4(&back_v4.payload, back_v4.src, back_v4.dst).unwrap();
+        let rd = UdpView::parse_v4(&back_v4.payload, back_v4.src, back_v4.dst).unwrap();
         assert_eq!(rd.dst_port, 5198);
         assert_eq!(rd.payload, b"audio");
     }

@@ -14,11 +14,9 @@ use crate::siit::{self, PortRewrite, XlatError};
 use std::net::{Ipv4Addr, Ipv6Addr};
 use v6addr::rfc6052::Nat64Prefix;
 use v6wire::fasthash::FastMap;
-use v6wire::icmpv6::Icmpv6Message;
 use v6wire::ipv4::{proto, Ipv4Packet};
 use v6wire::ipv6::Ipv6Packet;
-use v6wire::tcp::TcpSegment;
-use v6wire::udp::UdpDatagram;
+use v6wire::view::{Icmp4View, Icmp6View, TcpView, UdpView};
 
 /// Session lifetimes (RFC 6146 §4 defaults, seconds).
 #[derive(Debug, Clone, Copy)]
@@ -318,23 +316,21 @@ impl Nat64 {
 fn flow_v6(pkt: &Ipv6Packet) -> Result<(Proto, u16, bool), XlatError> {
     match pkt.next_header {
         proto::UDP => {
-            let d = UdpDatagram::decode_v6(&pkt.payload, pkt.src, pkt.dst)?;
+            let d = UdpView::parse_v6(&pkt.payload, pkt.src, pkt.dst)?;
             Ok((Proto::Udp, d.src_port, false))
         }
         proto::TCP => {
-            let s = TcpSegment::decode_v6(&pkt.payload, pkt.src, pkt.dst)?;
+            let s = TcpView::parse_v6(&pkt.payload, pkt.src, pkt.dst)?;
             // A bare ACK (no SYN/FIN/RST) marks the session established.
             let est = s.flags.ack && !s.flags.syn && !s.flags.fin && !s.flags.rst;
             Ok((Proto::Tcp, s.src_port, est))
         }
-        proto::ICMPV6 => {
-            let m = Icmpv6Message::decode(&pkt.payload, pkt.src, pkt.dst)?;
-            match m {
-                Icmpv6Message::EchoRequest { ident, .. }
-                | Icmpv6Message::EchoReply { ident, .. } => Ok((Proto::Icmp, ident, false)),
-                _ => Err(XlatError::UntranslatableIcmp),
+        proto::ICMPV6 => match Icmp6View::parse(&pkt.payload, pkt.src, pkt.dst)? {
+            Icmp6View::EchoRequest { ident, .. } | Icmp6View::EchoReply { ident, .. } => {
+                Ok((Proto::Icmp, ident, false))
             }
-        }
+            _ => Err(XlatError::UntranslatableIcmp),
+        },
         other => Err(XlatError::UnsupportedProtocol(other)),
     }
 }
@@ -343,23 +339,19 @@ fn flow_v6(pkt: &Ipv6Packet) -> Result<(Proto, u16, bool), XlatError> {
 fn flow_v4(pkt: &Ipv4Packet) -> Result<(Proto, u16), XlatError> {
     match pkt.protocol {
         proto::UDP => {
-            let d = UdpDatagram::decode_v4(&pkt.payload, pkt.src, pkt.dst)?;
+            let d = UdpView::parse_v4(&pkt.payload, pkt.src, pkt.dst)?;
             Ok((Proto::Udp, d.dst_port))
         }
         proto::TCP => {
-            let s = TcpSegment::decode_v4(&pkt.payload, pkt.src, pkt.dst)?;
+            let s = TcpView::parse_v4(&pkt.payload, pkt.src, pkt.dst)?;
             Ok((Proto::Tcp, s.dst_port))
         }
-        proto::ICMP => {
-            let m = v6wire::icmpv4::Icmpv4Message::decode(&pkt.payload)?;
-            match m {
-                v6wire::icmpv4::Icmpv4Message::EchoRequest { ident, .. }
-                | v6wire::icmpv4::Icmpv4Message::EchoReply { ident, .. } => {
-                    Ok((Proto::Icmp, ident))
-                }
-                _ => Err(XlatError::UntranslatableIcmp),
+        proto::ICMP => match Icmp4View::parse(&pkt.payload)? {
+            Icmp4View::EchoRequest { ident, .. } | Icmp4View::EchoReply { ident, .. } => {
+                Ok((Proto::Icmp, ident))
             }
-        }
+            _ => Err(XlatError::UntranslatableIcmp),
+        },
         other => Err(XlatError::UnsupportedProtocol(other)),
     }
 }
@@ -367,7 +359,9 @@ fn flow_v4(pkt: &Ipv4Packet) -> Result<(Proto, u16), XlatError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use v6wire::tcp::TcpFlags;
+    use v6wire::icmpv6::Icmpv6Message;
+    use v6wire::tcp::{TcpFlags, TcpSegment};
+    use v6wire::udp::UdpDatagram;
 
     const CLIENT: &str = "2607:fb90:9bda:a425::50";
     const SERVER4: &str = "190.92.158.4";
@@ -396,7 +390,7 @@ mod tests {
         let out = n.v6_to_v4(&udp_v6(40000, a4(SERVER4), b"q"), 100).unwrap();
         assert_eq!(out.dst, a4(SERVER4));
         assert!(n.pool.contains(&out.src));
-        let od = UdpDatagram::decode_v4(&out.payload, out.src, out.dst).unwrap();
+        let od = UdpView::parse_v4(&out.payload, out.src, out.dst).unwrap();
         assert_eq!(od.dst_port, 53);
         // Server replies to the external tuple.
         let reply = UdpDatagram::new(53, od.src_port, b"r".to_vec());
@@ -412,7 +406,7 @@ mod tests {
             back.src,
             Nat64Prefix::well_known().embed_unchecked(a4(SERVER4))
         );
-        let bd = UdpDatagram::decode_v6(&back.payload, back.src, back.dst).unwrap();
+        let bd = UdpView::parse_v6(&back.payload, back.src, back.dst).unwrap();
         assert_eq!(bd.dst_port, 40000, "internal port restored");
         assert_eq!((n.outbound, n.inbound), (1, 1));
     }
@@ -422,10 +416,10 @@ mod tests {
         let mut n = nat();
         let o1 = n.v6_to_v4(&udp_v6(40000, a4(SERVER4), b"1"), 0).unwrap();
         let o2 = n.v6_to_v4(&udp_v6(40000, a4("8.8.8.8"), b"2"), 1).unwrap();
-        let p1 = UdpDatagram::decode_v4(&o1.payload, o1.src, o1.dst)
+        let p1 = UdpView::parse_v4(&o1.payload, o1.src, o1.dst)
             .unwrap()
             .src_port;
-        let p2 = UdpDatagram::decode_v4(&o2.payload, o2.src, o2.dst)
+        let p2 = UdpView::parse_v4(&o2.payload, o2.src, o2.dst)
             .unwrap()
             .src_port;
         assert_eq!((o1.src, p1), (o2.src, p2), "endpoint-independent mapping");
@@ -439,13 +433,13 @@ mod tests {
         let o2 = n.v6_to_v4(&udp_v6(40001, a4(SERVER4), b"2"), 0).unwrap();
         let t1 = (
             o1.src,
-            UdpDatagram::decode_v4(&o1.payload, o1.src, o1.dst)
+            UdpView::parse_v4(&o1.payload, o1.src, o1.dst)
                 .unwrap()
                 .src_port,
         );
         let t2 = (
             o2.src,
-            UdpDatagram::decode_v4(&o2.payload, o2.src, o2.dst)
+            UdpView::parse_v4(&o2.payload, o2.src, o2.dst)
                 .unwrap()
                 .src_port,
         );
@@ -470,7 +464,7 @@ mod tests {
     fn udp_binding_expires() {
         let mut n = nat();
         let out = n.v6_to_v4(&udp_v6(40000, a4(SERVER4), b"q"), 0).unwrap();
-        let od = UdpDatagram::decode_v4(&out.payload, out.src, out.dst).unwrap();
+        let od = UdpView::parse_v4(&out.payload, out.src, out.dst).unwrap();
         let reply = UdpDatagram::new(53, od.src_port, b"r".to_vec());
         let rpkt = Ipv4Packet::new(
             a4(SERVER4),
@@ -509,7 +503,9 @@ mod tests {
         };
         let pkt = Ipv6Packet::new(a6(CLIENT), dst, proto::ICMPV6, m.encode(a6(CLIENT), dst));
         let out = n.v6_to_v4(&pkt, 0).unwrap();
-        let om = v6wire::icmpv4::Icmpv4Message::decode(&out.payload).unwrap();
+        let om = Icmp4View::parse(&out.payload)
+            .map(|v| v.to_message())
+            .unwrap();
         let ext_ident = match om {
             v6wire::icmpv4::Icmpv4Message::EchoRequest { ident, .. } => ident,
             other => panic!("unexpected {other:?}"),
@@ -522,7 +518,9 @@ mod tests {
         };
         let rpkt = Ipv4Packet::new(a4(SERVER4), out.src, proto::ICMP, reply.encode());
         let back = n.v4_to_v6(&rpkt, 10).unwrap();
-        let bm = Icmpv6Message::decode(&back.payload, back.src, back.dst).unwrap();
+        let bm = Icmp6View::parse(&back.payload, back.src, back.dst)
+            .map(|v| v.to_message())
+            .unwrap();
         assert!(matches!(bm, Icmpv6Message::EchoReply { ident: 0x77, .. }));
     }
 
@@ -553,10 +551,10 @@ mod tests {
         // the two high ports and the pool then wraps to 1024.
         let o1 = n.v6_to_v4(&udp_v6(1, a4(SERVER4), b""), 0).unwrap();
         let o2 = n.v6_to_v4(&udp_v6(2, a4(SERVER4), b""), 0).unwrap();
-        let p1 = UdpDatagram::decode_v4(&o1.payload, o1.src, o1.dst)
+        let p1 = UdpView::parse_v4(&o1.payload, o1.src, o1.dst)
             .unwrap()
             .src_port;
-        let p2 = UdpDatagram::decode_v4(&o2.payload, o2.src, o2.dst)
+        let p2 = UdpView::parse_v4(&o2.payload, o2.src, o2.dst)
             .unwrap()
             .src_port;
         assert_ne!(p1, p2);

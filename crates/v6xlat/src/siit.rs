@@ -13,8 +13,7 @@ use v6wire::icmpv4::Icmpv4Message;
 use v6wire::icmpv6::Icmpv6Message;
 use v6wire::ipv4::{proto, Ipv4Packet};
 use v6wire::ipv6::Ipv6Packet;
-use v6wire::tcp::TcpSegment;
-use v6wire::udp::UdpDatagram;
+use v6wire::view::{Icmp4View, Icmp6View, TcpView, UdpView};
 use v6wire::WireError;
 
 /// Translation errors.
@@ -84,17 +83,17 @@ pub fn v6_to_v4(
     }
     let (protocol, payload) = match pkt.next_header {
         proto::UDP => {
-            let mut d = UdpDatagram::decode_v6(&pkt.payload, pkt.src, pkt.dst)?;
+            let mut d = UdpView::parse_v6(&pkt.payload, pkt.src, pkt.dst)?.to_datagram();
             apply_ports(&mut d.src_port, &mut d.dst_port, rewrite);
             (proto::UDP, d.encode_v4(new_src, new_dst))
         }
         proto::TCP => {
-            let mut s = TcpSegment::decode_v6(&pkt.payload, pkt.src, pkt.dst)?;
+            let mut s = TcpView::parse_v6(&pkt.payload, pkt.src, pkt.dst)?.to_segment();
             apply_ports(&mut s.src_port, &mut s.dst_port, rewrite);
             (proto::TCP, s.encode_v4(new_src, new_dst))
         }
         proto::ICMPV6 => {
-            let m = Icmpv6Message::decode(&pkt.payload, pkt.src, pkt.dst)?;
+            let m = Icmp6View::parse(&pkt.payload, pkt.src, pkt.dst)?;
             let v4 = icmp6_to_icmp4(&m, rewrite)?;
             (proto::ICMP, v4.encode())
         }
@@ -119,17 +118,17 @@ pub fn v4_to_v6(
     }
     let (next_header, payload) = match pkt.protocol {
         proto::UDP => {
-            let mut d = UdpDatagram::decode_v4(&pkt.payload, pkt.src, pkt.dst)?;
+            let mut d = UdpView::parse_v4(&pkt.payload, pkt.src, pkt.dst)?.to_datagram();
             apply_ports(&mut d.src_port, &mut d.dst_port, rewrite);
             (proto::UDP, d.encode_v6(new_src, new_dst))
         }
         proto::TCP => {
-            let mut s = TcpSegment::decode_v4(&pkt.payload, pkt.src, pkt.dst)?;
+            let mut s = TcpView::parse_v4(&pkt.payload, pkt.src, pkt.dst)?.to_segment();
             apply_ports(&mut s.src_port, &mut s.dst_port, rewrite);
             (proto::TCP, s.encode_v6(new_src, new_dst))
         }
         proto::ICMP => {
-            let m = Icmpv4Message::decode(&pkt.payload)?;
+            let m = Icmp4View::parse(&pkt.payload)?;
             let v6 = icmp4_to_icmp6(&m, rewrite)?;
             (proto::ICMPV6, v6.encode(new_src, new_dst))
         }
@@ -151,27 +150,27 @@ fn apply_ports(src: &mut u16, dst: &mut u16, rewrite: PortRewrite) {
 }
 
 /// ICMPv6 → ICMPv4 type/code mapping (RFC 7915 §5.2).
-fn icmp6_to_icmp4(m: &Icmpv6Message, rewrite: PortRewrite) -> Result<Icmpv4Message, XlatError> {
-    Ok(match m {
-        Icmpv6Message::EchoRequest {
+fn icmp6_to_icmp4(m: &Icmp6View<'_>, rewrite: PortRewrite) -> Result<Icmpv4Message, XlatError> {
+    Ok(match *m {
+        Icmp6View::EchoRequest {
             ident,
             seq,
             payload,
         } => Icmpv4Message::EchoRequest {
-            ident: rewrite.src.unwrap_or(*ident),
-            seq: *seq,
-            payload: payload.clone(),
+            ident: rewrite.src.unwrap_or(ident),
+            seq,
+            payload: payload.to_vec(),
         },
-        Icmpv6Message::EchoReply {
+        Icmp6View::EchoReply {
             ident,
             seq,
             payload,
         } => Icmpv4Message::EchoReply {
-            ident: rewrite.dst.unwrap_or(*ident),
-            seq: *seq,
-            payload: payload.clone(),
+            ident: rewrite.dst.unwrap_or(ident),
+            seq,
+            payload: payload.to_vec(),
         },
-        Icmpv6Message::DestinationUnreachable { code, invoking } => {
+        Icmp6View::DestinationUnreachable { code, invoking } => {
             // RFC 7915 §5.2: v6 codes 0/2/3 → v4 host unreachable (1);
             // code 1 (admin) → 10; code 4 (port) → 3.
             let v4code = match code {
@@ -184,7 +183,7 @@ fn icmp6_to_icmp4(m: &Icmpv6Message, rewrite: PortRewrite) -> Result<Icmpv4Messa
                 code: v4code,
                 // The invoking-packet excerpt would itself need translation;
                 // the simulator's consumers only inspect type/code.
-                invoking: invoking.clone(),
+                invoking: invoking.to_vec(),
             }
         }
         // NDP messages are link-local by definition and never translate.
@@ -193,27 +192,27 @@ fn icmp6_to_icmp4(m: &Icmpv6Message, rewrite: PortRewrite) -> Result<Icmpv4Messa
 }
 
 /// ICMPv4 → ICMPv6 type/code mapping (RFC 7915 §4.2).
-fn icmp4_to_icmp6(m: &Icmpv4Message, rewrite: PortRewrite) -> Result<Icmpv6Message, XlatError> {
-    Ok(match m {
-        Icmpv4Message::EchoRequest {
+fn icmp4_to_icmp6(m: &Icmp4View<'_>, rewrite: PortRewrite) -> Result<Icmpv6Message, XlatError> {
+    Ok(match *m {
+        Icmp4View::EchoRequest {
             ident,
             seq,
             payload,
         } => Icmpv6Message::EchoRequest {
-            ident: rewrite.src.unwrap_or(*ident),
-            seq: *seq,
-            payload: payload.clone(),
+            ident: rewrite.src.unwrap_or(ident),
+            seq,
+            payload: payload.to_vec(),
         },
-        Icmpv4Message::EchoReply {
+        Icmp4View::EchoReply {
             ident,
             seq,
             payload,
         } => Icmpv6Message::EchoReply {
-            ident: rewrite.dst.unwrap_or(*ident),
-            seq: *seq,
-            payload: payload.clone(),
+            ident: rewrite.dst.unwrap_or(ident),
+            seq,
+            payload: payload.to_vec(),
         },
-        Icmpv4Message::DestinationUnreachable { code, invoking } => {
+        Icmp4View::DestinationUnreachable { code, invoking } => {
             let v6code = match code {
                 0 | 1 | 5 | 6 | 7 | 8 | 11 | 12 => 0, // no route
                 3 => 4,                               // port unreachable
@@ -222,10 +221,10 @@ fn icmp4_to_icmp6(m: &Icmpv4Message, rewrite: PortRewrite) -> Result<Icmpv6Messa
             };
             Icmpv6Message::DestinationUnreachable {
                 code: v6code,
-                invoking: invoking.clone(),
+                invoking: invoking.to_vec(),
             }
         }
-        Icmpv4Message::TimeExceeded { .. } => {
+        Icmp4View::TimeExceeded { .. } => {
             // Type 11 → ICMPv6 type 3; our ICMPv6 enum models unreachable +
             // echo + NDP, so time-exceeded maps to the closest surfaced
             // diagnostic: no-route unreachable.
@@ -240,7 +239,8 @@ fn icmp4_to_icmp6(m: &Icmpv4Message, rewrite: PortRewrite) -> Result<Icmpv6Messa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use v6wire::tcp::TcpFlags;
+    use v6wire::tcp::{TcpFlags, TcpSegment};
+    use v6wire::udp::UdpDatagram;
 
     const V6SRC: &str = "2607:fb90:9bda:a425::50";
     const V6DST: &str = "64:ff9b::be5c:9e04";
@@ -266,8 +266,8 @@ mod tests {
         );
         let out = v6_to_v4(&pkt, a4(V4SRC), a4(V4DST), PortRewrite::default()).unwrap();
         assert_eq!(out.ttl, 63, "hop limit decremented");
-        let got = UdpDatagram::decode_v4(&out.payload, out.src, out.dst).unwrap();
-        assert_eq!(got, d);
+        let got = UdpView::parse_v4(&out.payload, out.src, out.dst).unwrap();
+        assert_eq!(got.to_datagram(), d);
     }
 
     #[test]
@@ -282,8 +282,8 @@ mod tests {
         );
         let v6 = v4_to_v6(&pkt, a6(V6SRC), a6(V6DST), PortRewrite::default()).unwrap();
         let back = v6_to_v4(&v6, a4(V4SRC), a4(V4DST), PortRewrite::default()).unwrap();
-        let got = TcpSegment::decode_v4(&back.payload, back.src, back.dst).unwrap();
-        assert_eq!(got, seg);
+        let got = TcpView::parse_v4(&back.payload, back.src, back.dst).unwrap();
+        assert_eq!(got.to_segment(), seg);
         assert_eq!(back.ttl, 62, "two translator hops");
     }
 
@@ -306,7 +306,7 @@ mod tests {
             },
         )
         .unwrap();
-        let got = UdpDatagram::decode_v4(&out.payload, out.src, out.dst).unwrap();
+        let got = UdpView::parse_v4(&out.payload, out.src, out.dst).unwrap();
         assert_eq!(got.src_port, 61000);
         assert_eq!(got.dst_port, 53);
     }
@@ -326,7 +326,9 @@ mod tests {
             m.encode(a6(V6SRC), a6(V6DST)),
         );
         let out = v6_to_v4(&pkt, a4(V4SRC), a4(V4DST), PortRewrite::default()).unwrap();
-        let got = Icmpv4Message::decode(&out.payload).unwrap();
+        let got = Icmp4View::parse(&out.payload)
+            .map(|v| v.to_message())
+            .unwrap();
         assert!(matches!(
             got,
             Icmpv4Message::EchoRequest {
@@ -343,7 +345,9 @@ mod tests {
         };
         let rpkt = Ipv4Packet::new(a4(V4DST), a4(V4SRC), proto::ICMP, reply.encode());
         let back = v4_to_v6(&rpkt, a6(V6DST), a6(V6SRC), PortRewrite::default()).unwrap();
-        let gotr = Icmpv6Message::decode(&back.payload, back.src, back.dst).unwrap();
+        let gotr = Icmp6View::parse(&back.payload, back.src, back.dst)
+            .map(|v| v.to_message())
+            .unwrap();
         assert!(matches!(
             gotr,
             Icmpv6Message::EchoReply { ident: 0x1c5a, .. }
@@ -359,7 +363,9 @@ mod tests {
         };
         let pkt = Ipv4Packet::new(a4(V4DST), a4(V4SRC), proto::ICMP, m.encode());
         let out = v4_to_v6(&pkt, a6(V6DST), a6(V6SRC), PortRewrite::default()).unwrap();
-        let got = Icmpv6Message::decode(&out.payload, out.src, out.dst).unwrap();
+        let got = Icmp6View::parse(&out.payload, out.src, out.dst)
+            .map(|v| v.to_message())
+            .unwrap();
         assert!(matches!(
             got,
             Icmpv6Message::DestinationUnreachable { code: 4, .. }
@@ -376,7 +382,9 @@ mod tests {
             m6.encode(a6(V6SRC), a6(V6DST)),
         );
         let out4 = v6_to_v4(&pkt6, a4(V4SRC), a4(V4DST), PortRewrite::default()).unwrap();
-        let got4 = Icmpv4Message::decode(&out4.payload).unwrap();
+        let got4 = Icmp4View::parse(&out4.payload)
+            .map(|v| v.to_message())
+            .unwrap();
         assert!(matches!(
             got4,
             Icmpv4Message::DestinationUnreachable { code: 10, .. }

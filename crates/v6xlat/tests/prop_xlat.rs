@@ -8,6 +8,7 @@ use v6wire::ipv4::{proto, Ipv4Packet};
 use v6wire::ipv6::Ipv6Packet;
 use v6wire::tcp::{TcpFlags, TcpSegment};
 use v6wire::udp::UdpDatagram;
+use v6wire::view::{TcpView, UdpView};
 use v6xlat::clat::Clat;
 use v6xlat::nat64::Nat64;
 use v6xlat::siit::{self, PortRewrite};
@@ -36,8 +37,8 @@ proptest! {
         let v6 = siit::v4_to_v6(&pkt, s6, d6, PortRewrite::default()).unwrap();
         prop_assert_eq!(v6.traffic_class, dscp);
         let back = siit::v6_to_v4(&v6, s4, d4, PortRewrite::default()).unwrap();
-        let got = UdpDatagram::decode_v4(&back.payload, back.src, back.dst).unwrap();
-        prop_assert_eq!(got, d);
+        let got = UdpView::parse_v4(&back.payload, back.src, back.dst).unwrap();
+        prop_assert_eq!(got.to_datagram(), d);
         prop_assert_eq!(back.ttl, 62);
         prop_assert_eq!(back.dscp_ecn, dscp);
     }
@@ -56,8 +57,8 @@ proptest! {
         let pkt = Ipv4Packet::new(s4, d4, proto::TCP, seg.encode_v4(s4, d4));
         let v6 = siit::v4_to_v6(&pkt, s6, d6, PortRewrite::default()).unwrap();
         let back = siit::v6_to_v4(&v6, s4, d4, PortRewrite::default()).unwrap();
-        let got = TcpSegment::decode_v4(&back.payload, back.src, back.dst).unwrap();
-        prop_assert_eq!(got, seg);
+        let got = TcpView::parse_v4(&back.payload, back.src, back.dst).unwrap();
+        prop_assert_eq!(got.to_segment(), seg);
     }
 
     /// Any outbound NAT64 flow's reply is delivered back to the exact
@@ -76,14 +77,14 @@ proptest! {
         let pkt = Ipv6Packet::new(client, dst, proto::UDP, d.encode_v6(client, dst));
         let out = nat.v6_to_v4(&pkt, 10).unwrap();
         prop_assert_eq!(out.dst, dst4);
-        let od = UdpDatagram::decode_v4(&out.payload, out.src, out.dst).unwrap();
+        let od = UdpView::parse_v4(&out.payload, out.src, out.dst).unwrap();
         prop_assert_eq!(&od.payload, &payload);
         // Reply retraces.
         let reply = UdpDatagram::new(53, od.src_port, payload.clone());
         let rpkt = Ipv4Packet::new(dst4, out.src, proto::UDP, reply.encode_v4(dst4, out.src));
         let back = nat.v4_to_v6(&rpkt, 11).unwrap();
         prop_assert_eq!(back.dst, client);
-        let bd = UdpDatagram::decode_v6(&back.payload, back.src, back.dst).unwrap();
+        let bd = UdpView::parse_v6(&back.payload, back.src, back.dst).unwrap();
         prop_assert_eq!(bd.dst_port, sp);
     }
 
@@ -99,7 +100,7 @@ proptest! {
             let d = UdpDatagram::new(sp, 53, vec![]);
             let pkt = Ipv6Packet::new(client, dst, proto::UDP, d.encode_v6(client, dst));
             let out = nat.v6_to_v4(&pkt, 0).unwrap();
-            let od = UdpDatagram::decode_v4(&out.payload, out.src, out.dst).unwrap();
+            let od = UdpView::parse_v4(&out.payload, out.src, out.dst).unwrap();
             prop_assert!(seen.insert((out.src, od.src_port)), "tuple reuse");
         }
     }
@@ -116,13 +117,13 @@ proptest! {
         let pkt = Ipv4Packet::new(clat.host_v4, dst4, proto::UDP, d.encode_v4(clat.host_v4, dst4));
         let v6 = clat.v4_out(&pkt).unwrap();
         // The far end replies by swapping the tuple.
-        let rd = UdpDatagram::decode_v6(&v6.payload, v6.src, v6.dst).unwrap();
-        let reply = UdpDatagram::new(rd.dst_port, rd.src_port, rd.payload.clone());
+        let rd = UdpView::parse_v6(&v6.payload, v6.src, v6.dst).unwrap();
+        let reply = UdpDatagram::new(rd.dst_port, rd.src_port, rd.payload.to_vec());
         let rpkt = Ipv6Packet::new(v6.dst, v6.src, proto::UDP, reply.encode_v6(v6.dst, v6.src));
         let back = clat.v6_in(&rpkt).unwrap();
         prop_assert_eq!(back.src, dst4);
         prop_assert_eq!(back.dst, clat.host_v4);
-        let bd = UdpDatagram::decode_v4(&back.payload, back.src, back.dst).unwrap();
+        let bd = UdpView::parse_v4(&back.payload, back.src, back.dst).unwrap();
         prop_assert_eq!(bd.dst_port, sp);
         prop_assert_eq!(bd.payload, rd.payload);
     }

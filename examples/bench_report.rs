@@ -34,7 +34,7 @@ const BASELINE_FLEET_ELEM_S: f64 = 2581.0;
 const BASELINE_FULL_TRACE_MS: f64 = 18.283;
 
 /// The conformance corpus (tests/corpus/README.md): the codec benchmarks
-/// run over exactly the inputs the differential suites prove equivalence on.
+/// run over exactly the inputs the conformance suites pin.
 const CORPUS_FRAMES: &[&[u8]] = &[
     include_bytes!("../tests/corpus/frame_dhcp_discover_opt108.bin"),
     include_bytes!("../tests/corpus/frame_dhcp_offer_opt108.bin"),
@@ -172,11 +172,6 @@ fn main() {
     // Zero-copy codec microbenchmarks over the conformance corpus, plus the
     // Full-trace ring against its recorded pre-rework baseline (the
     // summarize-per-hop path is exactly what the view layer accelerates).
-    let wire_owned = ns_per_item(2000, CORPUS_FRAMES.len(), || {
-        for f in CORPUS_FRAMES {
-            std::hint::black_box(v6wire::ParsedFrame::parse(f).expect("corpus frame"));
-        }
-    });
     let wire_view = ns_per_item(2000, CORPUS_FRAMES.len(), || {
         for f in CORPUS_FRAMES {
             std::hint::black_box(v6wire::FrameView::parse(f).expect("corpus frame"));
@@ -185,11 +180,6 @@ fn main() {
     let wire_summarize = ns_per_item(2000, CORPUS_FRAMES.len(), || {
         for f in CORPUS_FRAMES {
             std::hint::black_box(v6wire::packet::summarize(f));
-        }
-    });
-    let dns_owned = ns_per_item(2000, CORPUS_DNS.len(), || {
-        for m in CORPUS_DNS {
-            std::hint::black_box(v6dns::Message::decode(m).expect("corpus message"));
         }
     });
     let dns_view = ns_per_item(2000, CORPUS_DNS.len(), || {
@@ -214,28 +204,13 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"wire_parse_owned_ns_per_frame\": {wire_owned:.1},"
-    );
-    let _ = writeln!(
-        json,
         "    \"wire_parse_view_ns_per_frame\": {wire_view:.1},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"wire_parse_speedup\": {:.2},",
-        wire_owned / wire_view
     );
     let _ = writeln!(
         json,
         "    \"wire_summarize_ns_per_frame\": {wire_summarize:.1},"
     );
-    let _ = writeln!(json, "    \"dns_decode_owned_ns_per_msg\": {dns_owned:.1},");
     let _ = writeln!(json, "    \"dns_parse_view_ns_per_msg\": {dns_view:.1},");
-    let _ = writeln!(
-        json,
-        "    \"dns_parse_speedup\": {:.2},",
-        dns_owned / dns_view
-    );
     let _ = writeln!(json, "    \"checksum_scalar_gb_per_s\": {scalar_gbps:.2},");
     let _ = writeln!(json, "    \"checksum_swar_gb_per_s\": {swar_gbps:.2},");
     let _ = writeln!(

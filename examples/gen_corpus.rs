@@ -336,8 +336,8 @@ fn main() {
         ("frame_bad_checksum.bin", bad_checksum),
     ];
 
-    // DNS corpus: the first four must decode, the last two must be rejected
-    // (truncated stream / pointer loop) with identical errors on both paths.
+    // DNS corpus: the first four must parse, the last two must be rejected
+    // (truncated stream / pointer loop).
     let dns: &[(&str, Vec<u8>)] = &[
         (
             "dns_query_a.bin",

@@ -98,13 +98,15 @@ bench-smoke:
     cargo bench -p v6bench --bench population_census -- --test
     cargo bench -p v6bench --bench codec_zero_copy -- --test
 
-# The differential codec-conformance pass at CI depth: owned-vs-view
-# parse equality over the committed corpus plus 256 proptest cases per
-# suite, both checksum kernels, and the frame-pool steady-state gate.
+# The codec-conformance pass at CI depth: the one frame parser and the
+# one DNS parser against the pinned outcomes of the committed corpus,
+# plus 256 proptest cases per suite, both checksum kernels, and the
+# frame-pool steady-state gate.
 conformance:
     PROPTEST_CASES=256 cargo test -p v6wire --test conformance -q
     PROPTEST_CASES=256 cargo test -p v6wire --test prop_roundtrip -q
     PROPTEST_CASES=256 cargo test -p v6dns --test conformance -q
+    PROPTEST_CASES=256 cargo test -p v6dns --test prop_dns -q
     SC24_CHECKSUM_KERNEL=scalar cargo test -p v6wire -q
     cargo test -q --test pool_steady_state
 

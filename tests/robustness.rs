@@ -176,6 +176,6 @@ fn pcap_export_roundtrip() {
     assert_eq!(back[0].bytes, tb.net.captured[0].bytes);
     // Every captured frame is a parseable Ethernet frame.
     for f in back.iter().take(50) {
-        assert!(v6wire::packet::ParsedFrame::parse(&f.bytes).is_ok());
+        assert!(v6wire::view::FrameView::parse(&f.bytes).is_ok());
     }
 }
