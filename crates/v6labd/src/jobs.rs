@@ -89,9 +89,11 @@ impl JobSpec {
                 if size == 0 {
                     return Err("population job: missing or zero \"size\"".into());
                 }
-                let shards = get_u64(&v, "shards", DEFAULT_POPULATION_SHARDS as u64)?;
-                if shards == 0 {
-                    return Err("population job: \"shards\" must be ≥ 1".into());
+                // `shards` sizes an allocation in the worker, so an
+                // untrusted body may ask for at most one shard per cell.
+                let shards = get_u64(&v, "shards", (DEFAULT_POPULATION_SHARDS as u64).min(size))?;
+                if shards == 0 || shards > size {
+                    return Err(format!("population job: \"shards\" must be in 1..={size}"));
                 }
                 Ok(JobSpec::Population {
                     seed: get_u64(&v, "seed", CANONICAL_BASE_SEED)?,
@@ -277,6 +279,20 @@ mod tests {
         assert!(JobSpec::parse(r#"{"kind":"matrix","fault":"no-such"}"#).is_err());
         assert!(JobSpec::parse(r#"{"kind":"mystery"}"#).is_err());
         assert!(JobSpec::parse("not json").is_err());
+    }
+
+    #[test]
+    fn population_shards_are_bounded_by_size() {
+        // A shard count from the request body must not size an
+        // allocation beyond the population itself.
+        let huge = r#"{"kind":"population","size":1,"shards":1000000000000}"#;
+        assert!(JobSpec::parse(huge).is_err());
+        assert!(JobSpec::parse(r#"{"kind":"population","size":4,"shards":5}"#).is_err());
+        let exact = JobSpec::parse(r#"{"kind":"population","size":4,"shards":4}"#).unwrap();
+        assert!(matches!(exact, JobSpec::Population { shards: 4, .. }));
+        // The default shard count never exceeds a small population.
+        let small = JobSpec::parse(r#"{"kind":"population","size":3}"#).unwrap();
+        assert!(matches!(small, JobSpec::Population { shards: 3, .. }));
     }
 
     #[test]

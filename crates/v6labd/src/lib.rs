@@ -25,8 +25,8 @@
 //! * [`soak`] — a scripted daemon lifetime under the virtual clock,
 //!   summarised as the committed `soak` manifest
 //!   (`reports/soak_smoke.json`).
-//! * [`portal`] — the portal-scoring HTTP path (`GET /portal`) the
-//!   `load_gen` example hammers.
+//! * [`portal`] — the portal-scoring HTTP path (`GET /portal`) that
+//!   `perfbench --workload labd` drives with open-loop load.
 
 #![warn(missing_docs)]
 

@@ -75,7 +75,6 @@ fn the_smoke_soak_raises_the_expected_incidents() {
 #[test]
 fn any_mutated_golden_field_gates() {
     let golden = Json::parse(&committed_golden()).expect("golden parses");
-    let kind = "soak";
     // Mutate one leaf in each top-level section and check the differ
     // calls it behavioural (fatal at default tolerances).
     let mutate = |path: &[&str], bump: fn(&Json) -> Json| {
@@ -114,7 +113,7 @@ fn any_mutated_golden_field_gates() {
     ];
     let cfg = DiffConfig::default();
     for mutated in cases {
-        let report = diff_manifests(kind, &golden, &mutated);
+        let report = diff_manifests(&golden, &mutated);
         assert!(!report.is_clean());
         assert!(
             report.gated(&cfg),
@@ -129,6 +128,6 @@ fn any_mutated_golden_field_gates() {
         panic!("jobs array missing")
     };
     jobs.pop();
-    let report = diff_manifests(kind, &golden, &doc);
+    let report = diff_manifests(&golden, &doc);
     assert!(report.gated(&cfg), "losing a job row must gate");
 }

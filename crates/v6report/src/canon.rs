@@ -13,10 +13,9 @@
 //! * there is nowhere to put a timestamp, hostname, or wall-clock
 //!   figure — the schema in `manifest.rs` simply never records one.
 //!
-//! The parser accepts standard JSON (it must read `BENCH_engine.json`,
-//! which is written by `examples/bench_report.rs`, not by us) and
-//! rejects duplicate keys, since a manifest with two spellings of one
-//! field cannot be canonical.
+//! The parser accepts standard JSON (it must read `v6labd` job bodies,
+//! which clients write, not us) and rejects duplicate keys, since a
+//! manifest with two spellings of one field cannot be canonical.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

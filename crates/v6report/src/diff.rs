@@ -9,11 +9,12 @@
 //!   behaviour is exactly these fields.
 //! * **Informational** — bookkeeping that can legitimately move without
 //!   the behaviour changing: frame-pool and trace-cap counters
-//!   (`metrics.pool.*`, `metrics.trace.*`) and every wall-clock bench
-//!   figure (`timings.*` in a bench manifest). Reported, but gated only
-//!   by a configurable relative tolerance — zero by default for the
-//!   deterministic pool/trace counters, generous by default for bench
-//!   timings which vary machine to machine.
+//!   (`metrics.pool.*`, `metrics.trace.*`). Reported, but gated only by
+//!   a configurable relative tolerance, zero by default since the
+//!   counters are deterministic.
+//!
+//! Manifests carry no wall-clock figure; `perfbench` measures
+//! performance.
 //!
 //! Classification is by field path, so the taxonomy lives in one place
 //! ([`classify`]) and the gate (`v6report check`) never needs schema
@@ -30,9 +31,6 @@ pub enum DriftClass {
     /// Deterministic bookkeeping moved (pool/trace counters). Fatal
     /// beyond [`DiffConfig::counter_tolerance`] (zero by default).
     Informational,
-    /// A wall-clock bench figure moved. Fatal beyond
-    /// [`DiffConfig::timing_tolerance`].
-    Timing,
 }
 
 impl fmt::Display for DriftClass {
@@ -40,7 +38,6 @@ impl fmt::Display for DriftClass {
         f.write_str(match self {
             DriftClass::Behavioural => "behavioural",
             DriftClass::Informational => "informational",
-            DriftClass::Timing => "timing",
         })
     }
 }
@@ -61,32 +58,29 @@ pub struct Drift {
     pub rel_delta: Option<f64>,
 }
 
-/// Tolerances the gate applies to non-behavioural drift.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Tolerance the gate applies to informational drift.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DiffConfig {
     /// Allowed relative delta on informational counters. The pool and
     /// trace counters are deterministic, so the default is exact.
     pub counter_tolerance: f64,
-    /// Allowed relative delta on bench timings. Wall-clock figures move
-    /// with the machine, so the default only catches order-of-magnitude
-    /// regressions (10× slower or faster).
-    pub timing_tolerance: f64,
 }
 
-impl Default for DiffConfig {
-    fn default() -> DiffConfig {
-        DiffConfig {
-            counter_tolerance: 0.0,
-            timing_tolerance: 10.0,
+impl DiffConfig {
+    /// Does `d` fail the gate under this tolerance?
+    fn is_fatal(&self, d: &Drift) -> bool {
+        match d.class {
+            DriftClass::Behavioural => true,
+            DriftClass::Informational => d
+                .rel_delta
+                .map(|r| r > self.counter_tolerance)
+                .unwrap_or(true),
         }
     }
 }
 
-/// Classify a field path within a manifest of `kind`.
-pub fn classify(kind: &str, path: &str) -> DriftClass {
-    if kind == "bench" && (path.starts_with("timings.") || path == "timings") {
-        return DriftClass::Timing;
-    }
+/// Classify a manifest field path.
+pub fn classify(path: &str) -> DriftClass {
     if path.starts_with("metrics.pool.") || path.starts_with("metrics.trace.") {
         return DriftClass::Informational;
     }
@@ -108,19 +102,9 @@ impl DriftReport {
     }
 
     /// The drifts that fail the gate under `cfg`: every behavioural
-    /// drift, plus informational/timing drift beyond its tolerance.
+    /// drift, plus informational drift beyond the counter tolerance.
     pub fn fatal<'a>(&'a self, cfg: &'a DiffConfig) -> impl Iterator<Item = &'a Drift> {
-        self.drifts.iter().filter(move |d| match d.class {
-            DriftClass::Behavioural => true,
-            DriftClass::Informational => d
-                .rel_delta
-                .map(|r| r > cfg.counter_tolerance)
-                .unwrap_or(true),
-            DriftClass::Timing => d
-                .rel_delta
-                .map(|r| r > cfg.timing_tolerance)
-                .unwrap_or(true),
-        })
+        self.drifts.iter().filter(move |d| cfg.is_fatal(d))
     }
 
     /// Does this report fail the gate under `cfg`?
@@ -134,18 +118,7 @@ impl DriftReport {
     pub fn render(&self, cfg: &DiffConfig) -> String {
         let mut out = String::new();
         for d in &self.drifts {
-            let fatal = match d.class {
-                DriftClass::Behavioural => true,
-                DriftClass::Informational => d
-                    .rel_delta
-                    .map(|r| r > cfg.counter_tolerance)
-                    .unwrap_or(true),
-                DriftClass::Timing => d
-                    .rel_delta
-                    .map(|r| r > cfg.timing_tolerance)
-                    .unwrap_or(true),
-            };
-            let marker = if fatal { "DRIFT" } else { "note " };
+            let marker = if cfg.is_fatal(d) { "DRIFT" } else { "note " };
             let show = |v: &Option<Json>| match v {
                 None => "<absent>".to_string(),
                 Some(v) => v.canonical().lines().next().unwrap_or("").to_string(),
@@ -167,20 +140,14 @@ impl DriftReport {
 }
 
 /// Structurally diff `before` (committed) against `after` (fresh),
-/// classifying each drifted field for a manifest of `kind`.
-pub fn diff_manifests(kind: &str, before: &Json, after: &Json) -> DriftReport {
+/// classifying each drifted field.
+pub fn diff_manifests(before: &Json, after: &Json) -> DriftReport {
     let mut report = DriftReport::default();
-    walk(kind, "", before, after, &mut report);
+    walk("", before, after, &mut report);
     report
 }
 
-fn record(
-    kind: &str,
-    path: &str,
-    before: Option<&Json>,
-    after: Option<&Json>,
-    out: &mut DriftReport,
-) {
+fn record(path: &str, before: Option<&Json>, after: Option<&Json>, out: &mut DriftReport) {
     let rel_delta = match (
         before.and_then(Json::as_number),
         after.and_then(Json::as_number),
@@ -192,12 +159,12 @@ fn record(
         path: path.to_string(),
         before: before.cloned(),
         after: after.cloned(),
-        class: classify(kind, path),
+        class: classify(path),
         rel_delta,
     });
 }
 
-fn walk(kind: &str, path: &str, before: &Json, after: &Json, out: &mut DriftReport) {
+fn walk(path: &str, before: &Json, after: &Json, out: &mut DriftReport) {
     match (before, after) {
         (Json::Obj(a), Json::Obj(b)) => {
             let keys: std::collections::BTreeSet<&String> = a.keys().chain(b.keys()).collect();
@@ -208,8 +175,8 @@ fn walk(kind: &str, path: &str, before: &Json, after: &Json, out: &mut DriftRepo
                     format!("{path}.{key}")
                 };
                 match (a.get(key), b.get(key)) {
-                    (Some(x), Some(y)) => walk(kind, &sub, x, y, out),
-                    (x, y) => record(kind, &sub, x, y, out),
+                    (Some(x), Some(y)) => walk(&sub, x, y, out),
+                    (x, y) => record(&sub, x, y, out),
                 }
             }
         }
@@ -217,13 +184,13 @@ fn walk(kind: &str, path: &str, before: &Json, after: &Json, out: &mut DriftRepo
             for i in 0..a.len().max(b.len()) {
                 let sub = format!("{path}[{i}]");
                 match (a.get(i), b.get(i)) {
-                    (Some(x), Some(y)) => walk(kind, &sub, x, y, out),
-                    (x, y) => record(kind, &sub, x, y, out),
+                    (Some(x), Some(y)) => walk(&sub, x, y, out),
+                    (x, y) => record(&sub, x, y, out),
                 }
             }
         }
         (x, y) if x == y => {}
-        (x, y) => record(kind, path, Some(x), Some(y), out),
+        (x, y) => record(path, Some(x), Some(y), out),
     }
 }
 
@@ -246,14 +213,14 @@ mod tests {
     #[test]
     fn identical_documents_are_clean() {
         let a = doc(40, 500, false);
-        let r = diff_manifests("fleet-matrix", &a, &a);
+        let r = diff_manifests(&a, &a);
         assert!(r.is_clean());
         assert!(!r.gated(&DiffConfig::default()));
     }
 
     #[test]
     fn census_mutation_is_behavioural_and_fatal() {
-        let r = diff_manifests("fleet-matrix", &doc(40, 500, false), &doc(41, 500, false));
+        let r = diff_manifests(&doc(40, 500, false), &doc(41, 500, false));
         assert_eq!(r.drifts.len(), 1);
         let d = &r.drifts[0];
         assert_eq!(d.path, "census.fleet.accurate_v6only");
@@ -265,7 +232,6 @@ mod tests {
         // No tolerance forgives behaviour.
         let loose = DiffConfig {
             counter_tolerance: 1e9,
-            timing_tolerance: 1e9,
         };
         assert!(r.gated(&loose));
         assert!(r
@@ -275,7 +241,7 @@ mod tests {
 
     #[test]
     fn verdict_mutation_is_behavioural() {
-        let r = diff_manifests("fleet-matrix", &doc(40, 500, false), &doc(40, 500, true));
+        let r = diff_manifests(&doc(40, 500, false), &doc(40, 500, true));
         assert_eq!(r.drifts[0].path, "verdicts[0].has_v4");
         assert_eq!(r.drifts[0].class, DriftClass::Behavioural);
         assert!(r.gated(&DiffConfig::default()));
@@ -283,7 +249,7 @@ mod tests {
 
     #[test]
     fn pool_counters_are_informational_with_exact_default_gate() {
-        let r = diff_manifests("fleet-matrix", &doc(40, 500, false), &doc(40, 505, false));
+        let r = diff_manifests(&doc(40, 500, false), &doc(40, 505, false));
         assert_eq!(r.drifts[0].class, DriftClass::Informational);
         assert!(
             r.gated(&DiffConfig::default()),
@@ -291,33 +257,9 @@ mod tests {
         );
         let loose = DiffConfig {
             counter_tolerance: 0.05,
-            ..DiffConfig::default()
         };
         assert!(!r.gated(&loose), "1% delta passes a 5% tolerance");
         assert!(r.render(&loose).starts_with("note "));
-    }
-
-    #[test]
-    fn bench_timings_gate_only_by_threshold() {
-        let a = Json::parse(r#"{ "kind": "bench", "structure": { "fleet_cells": 66 }, "timings": { "fleet": { "hops": { "ms_per_sweep": 9.2 } } } }"#).expect("parses");
-        let b = Json::parse(r#"{ "kind": "bench", "structure": { "fleet_cells": 66 }, "timings": { "fleet": { "hops": { "ms_per_sweep": 18.4 } } } }"#).expect("parses");
-        let r = diff_manifests("bench", &a, &b);
-        assert_eq!(r.drifts[0].class, DriftClass::Timing);
-        assert!(
-            !r.gated(&DiffConfig::default()),
-            "2x timing drift is machine noise"
-        );
-        let strict = DiffConfig {
-            timing_tolerance: 0.5,
-            ..DiffConfig::default()
-        };
-        assert!(
-            r.gated(&strict),
-            "…until the operator tightens the threshold"
-        );
-        // Structure drift in a bench manifest stays behavioural.
-        let c = Json::parse(r#"{ "kind": "bench", "structure": { "fleet_cells": 67 }, "timings": { "fleet": { "hops": { "ms_per_sweep": 9.2 } } } }"#).expect("parses");
-        assert!(diff_manifests("bench", &a, &c).gated(&DiffConfig::default()));
     }
 
     #[test]
@@ -326,7 +268,7 @@ mod tests {
             .expect("parses");
         let b = Json::parse(r#"{ "kind": "fleet-matrix", "census": { "fleet": { "b": 1 } } }"#)
             .expect("parses");
-        let r = diff_manifests("fleet-matrix", &a, &b);
+        let r = diff_manifests(&a, &b);
         assert_eq!(r.drifts.len(), 2);
         assert!(r.drifts.iter().any(|d| d.before.is_none()));
         assert!(r.drifts.iter().any(|d| d.after.is_none()));

@@ -8,16 +8,15 @@
 //! * [`manifest`] — build a [`RunManifest`]: config digests (matrix,
 //!   per-cell fault plans), the fleet + per-OS census, one verdict row
 //!   per cell keyed by a fault-invariant cell label, fleet-wide metrics
-//!   sums with the frame-conservation identity, a full-`MetricsSnapshot`
-//!   digest per cell, and (for bench manifests) the normalized
-//!   `BENCH_engine.json` figures.
+//!   sums with the frame-conservation identity, and a per-cell digest
+//!   of the full `MetricsSnapshot`.
 //! * [`canon`] — the hand-rolled canonical JSON layer the manifests are
 //!   written in: sorted keys, fixed number formatting, no timestamps —
 //!   so serial and parallel runs of the same seed are byte-identical.
 //! * [`diff`] — the structural differ and the drift taxonomy:
 //!   *behavioural* drift (census, verdicts, conservation, counters) is
-//!   always fatal; *informational* drift (pool/trace counters, bench
-//!   timings) is reported and gated only by a configurable tolerance.
+//!   always fatal; *informational* drift (pool/trace counters) is
+//!   reported and gated only by a configurable tolerance.
 //!
 //! The `v6report` binary wires these into the repo workflow:
 //! `v6report emit` regenerates the committed `reports/*.json` goldens,

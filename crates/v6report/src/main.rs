@@ -1,24 +1,23 @@
 //! `v6report` — emit, check, and diff canonical run manifests.
 //!
 //! ```text
-//! v6report emit  [--out DIR] [--bench FILE]
-//! v6report check [STEM...] [--reports DIR] [--fresh-out DIR] [--bench FILE]
-//!                [--tolerance F] [--bench-tolerance F] [--threads N]
-//! v6report diff <before.json> <after.json> [--tolerance F] [--bench-tolerance F]
+//! v6report emit  [--out DIR]
+//! v6report check [STEM...] [--reports DIR] [--fresh-out DIR] [--tolerance F] [--threads N]
+//! v6report diff <before.json> <after.json> [--tolerance F]
 //! ```
 //!
 //! `emit` regenerates the committed goldens under `reports/`: one
 //! manifest per canonical sweep (the 66-cell clean matrix plus every
-//! impaired fault variant), the 100k sampled-population census, and
-//! `bench.json` normalized from `BENCH_engine.json`. `check` re-runs the same sweeps fresh, writes
-//! the fresh manifests under `--fresh-out` (default `target/reports`,
-//! uploaded as a CI artifact on failure) and exits nonzero on gated
-//! drift, naming every drifted field. With positional STEM arguments
-//! (`v6report check matrix_broken-delegation`) only the named goldens
-//! are re-run — the per-sweep CI lanes use this to gate just their own
-//! manifest without paying for the full canonical set. `diff`
-//! classifies the drift between two manifest files without running
-//! anything.
+//! impaired fault variant) and the 100k sampled-population census.
+//! Wall-clock figures are not manifests; `perfbench` measures them.
+//! `check` re-runs the same sweeps fresh, writes the fresh manifests
+//! under `--fresh-out` (default `target/reports`, uploaded as a CI
+//! artifact on failure) and exits nonzero on gated drift, naming every
+//! drifted field. With positional STEM arguments (`v6report check
+//! matrix_broken-delegation`) only the named goldens are re-run — the
+//! per-sweep CI lanes use this to gate just their own manifest without
+//! paying for the full canonical set. `diff` classifies the drift
+//! between two manifest files without running anything.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -37,7 +36,6 @@ struct Args {
     positional: Vec<String>,
     reports: PathBuf,
     fresh_out: PathBuf,
-    bench: PathBuf,
     cfg: DiffConfig,
     threads: usize,
 }
@@ -50,7 +48,6 @@ fn parse_args() -> Result<Args, String> {
         positional: Vec::new(),
         reports: PathBuf::from("reports"),
         fresh_out: PathBuf::from("target/reports"),
-        bench: PathBuf::from("BENCH_engine.json"),
         cfg: DiffConfig::default(),
         threads: default_threads(),
     };
@@ -62,16 +59,10 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--out" | "--reports" => args.reports = PathBuf::from(value(&flag)?),
             "--fresh-out" => args.fresh_out = PathBuf::from(value(&flag)?),
-            "--bench" => args.bench = PathBuf::from(value(&flag)?),
             "--tolerance" => {
                 args.cfg.counter_tolerance = value(&flag)?
                     .parse()
                     .map_err(|e| format!("--tolerance: {e}"))?
-            }
-            "--bench-tolerance" => {
-                args.cfg.timing_tolerance = value(&flag)?
-                    .parse()
-                    .map_err(|e| format!("--bench-tolerance: {e}"))?
             }
             "--threads" => {
                 args.threads = value(&flag)?
@@ -87,9 +78,9 @@ fn parse_args() -> Result<Args, String> {
 
 fn usage() -> String {
     "usage: v6report <emit|check|diff> [flags]\n\
-     \x20 emit  [--out DIR] [--bench FILE]\n\
-     \x20 check [STEM...] [--reports DIR] [--fresh-out DIR] [--bench FILE] [--tolerance F] [--bench-tolerance F] [--threads N]\n\
-     \x20 diff  <before.json> <after.json> [--tolerance F] [--bench-tolerance F]"
+     \x20 emit  [--out DIR]\n\
+     \x20 check [STEM...] [--reports DIR] [--fresh-out DIR] [--tolerance F] [--threads N]\n\
+     \x20 diff  <before.json> <after.json> [--tolerance F]"
         .to_string()
 }
 
@@ -109,15 +100,6 @@ fn write_manifest(dir: &Path, stem: &str, manifest: &RunManifest) -> Result<Path
     Ok(path)
 }
 
-fn bench_manifest(bench_path: &Path) -> Result<Option<RunManifest>, String> {
-    if !bench_path.exists() {
-        return Ok(None);
-    }
-    let raw = std::fs::read_to_string(bench_path)
-        .map_err(|e| format!("read {}: {e}", bench_path.display()))?;
-    RunManifest::bench_from_raw(&raw).map(Some)
-}
-
 /// File stem of the committed sampled-population golden.
 fn population_stem() -> String {
     format!("population_{}k", v6report::CANONICAL_POPULATION_SIZE / 1000)
@@ -132,16 +114,6 @@ fn emit(args: &Args) -> Result<(), String> {
     let population = RunManifest::run_population(&v6report::canonical_population(), args.threads);
     let path = write_manifest(&args.reports, &population_stem(), &population)?;
     println!("emitted {}", path.display());
-    match bench_manifest(&args.bench)? {
-        Some(manifest) => {
-            let path = write_manifest(&args.reports, "bench", &manifest)?;
-            println!("emitted {}", path.display());
-        }
-        None => eprintln!(
-            "note: {} not found; skipping bench manifest (run `just bench-report` first)",
-            args.bench.display()
-        ),
-    }
     Ok(())
 }
 
@@ -160,7 +132,7 @@ fn check_one(path: &Path, fresh: &RunManifest, cfg: &DiffConfig) -> Result<bool,
     }
     let committed = v6report::Json::parse(&committed_text)
         .map_err(|e| format!("parse {}: {e}", path.display()))?;
-    let report = diff_manifests(fresh.kind(), &committed, fresh.json());
+    let report = diff_manifests(&committed, fresh.json());
     if report.is_clean() {
         // Same data, different bytes: a manifest written by some other
         // serializer. Canonical form is part of the contract.
@@ -209,24 +181,13 @@ fn check(args: &Args) -> Result<bool, String> {
         let committed = args.reports.join(format!("{}.json", population_stem()));
         all_ok &= check_one(&committed, &fresh, &args.cfg)?;
     }
-    if want("bench") {
-        matched += 1;
-        match bench_manifest(&args.bench)? {
-            Some(fresh) => {
-                write_manifest(&args.fresh_out, "bench", &fresh)?;
-                let committed = args.reports.join("bench.json");
-                all_ok &= check_one(&committed, &fresh, &args.cfg)?;
-            }
-            None => println!("skip  bench manifest ({} not found)", args.bench.display()),
-        }
-    }
     // A misspelled stem silently gating nothing would read as a pass;
     // make it an explicit error instead.
     if !args.positional.is_empty() && matched < args.positional.len() {
         let known: Vec<String> = canonical_specs()
             .iter()
             .map(MatrixSpec::file_stem)
-            .chain([population_stem(), "bench".to_string()])
+            .chain([population_stem()])
             .collect();
         let unknown: Vec<&String> = args
             .positional
@@ -251,13 +212,7 @@ fn diff(args: &Args) -> Result<bool, String> {
         let text = std::fs::read_to_string(p).map_err(|e| format!("read {p}: {e}"))?;
         v6report::Json::parse(&text).map_err(|e| format!("parse {p}: {e}"))
     };
-    let before = read(before_path)?;
-    let after = read(after_path)?;
-    let kind = match before.get("kind") {
-        Some(v6report::Json::Str(s)) => s.clone(),
-        _ => "fleet-matrix".to_string(),
-    };
-    let report = diff_manifests(&kind, &before, &after);
+    let report = diff_manifests(&read(before_path)?, &read(after_path)?);
     if report.is_clean() {
         println!("identical: {before_path} == {after_path}");
         return Ok(true);

@@ -1,5 +1,5 @@
 //! Building [`RunManifest`]s — the canonical, committed description of
-//! one fleet (or bench) run.
+//! one fleet, population or soak run.
 //!
 //! A manifest is the machine-checkable statement "the paper's behaviour
 //! held on this run": which configuration was exercised (config digests
@@ -128,8 +128,8 @@ pub struct SoakIncidentRow {
 /// Everything a `soak` manifest describes: the jobs a lab-daemon soak
 /// executed under the virtual clock, the incidents its detector raised,
 /// and the merged virtual-time latency sketch across all job cells.
-/// All of it is deterministic — wall-clock soak figures belong in
-/// `BENCH_engine.json`, not here.
+/// All of it is deterministic — wall-clock service figures belong to
+/// `perfbench --workload labd`, not here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SoakSummary {
     /// Base seed the soak's jobs were derived from.
@@ -266,169 +266,9 @@ impl RunManifest {
         RunManifest(root)
     }
 
-    /// Normalize a raw `BENCH_engine.json` (as written by
-    /// `examples/bench_report.rs`) into the canonical bench manifest:
-    /// deterministic workload structure under `structure`, wall-clock
-    /// figures under `timings` where the differ treats them as
-    /// informational.
-    pub fn bench_from_raw(raw: &str) -> Result<RunManifest, String> {
-        let v = Json::parse(raw).map_err(|e| format!("BENCH_engine.json: {e}"))?;
-        let num = |path: &[&str]| -> Result<Json, String> {
-            v.get_path(path)
-                .cloned()
-                .ok_or_else(|| format!("BENCH_engine.json missing {}", path.join(".")))
-        };
-        let mut structure = Json::obj();
-        structure.set("engine_workload", num(&["engine_hot_path", "workload"])?);
-        structure.set(
-            "frames_per_iter",
-            num(&["engine_hot_path", "frames_per_iter"])?,
-        );
-        structure.set(
-            "events_per_iter",
-            num(&["engine_hot_path", "events_per_iter"])?,
-        );
-        structure.set("fleet_cells", num(&["fleet_sweep", "cells"])?);
-        structure.set(
-            "baseline_fleet_ms_per_sweep",
-            num(&["baseline_pre_optimization", "fleet_ms_per_sweep"])?,
-        );
-        structure.set(
-            "baseline_fleet_scenarios_per_sec",
-            num(&["baseline_pre_optimization", "fleet_scenarios_per_sec"])?,
-        );
-
-        // The population row appears once `just population` has run; a
-        // bench file from before that is still a valid manifest.
-        if v.get("population_census").is_some() {
-            structure.set(
-                "population_samples",
-                num(&["population_census", "samples"])?,
-            );
-        }
-
-        // Likewise the service-soak row, written by `just soak`
-        // (examples/load_gen.rs) once the daemon has been hammered.
-        if v.get("service_soak").is_some() {
-            structure.set("service_soak_requests", num(&["service_soak", "requests"])?);
-            // Worker count appears once the soak ran against a daemon
-            // new enough to report it; older bench files stay valid.
-            if let Some(w) = v.get_path(&["service_soak", "workers"]) {
-                structure.set("service_soak_workers", w.clone());
-            }
-        }
-
-        // The warm-cell row, written by `just warm-bench`
-        // (examples/population_census.rs --warm-bench) once the arena
-        // path has been benched against the cold baseline.
-        if v.get("warm_cell").is_some() {
-            structure.set("warm_cell_samples", num(&["warm_cell", "samples"])?);
-            structure.set("warm_cell_shards", num(&["warm_cell", "shards"])?);
-            structure.set("warm_cell_threads", num(&["warm_cell", "threads"])?);
-        }
-
-        let mut timings = Json::obj();
-        let mut engine = Json::obj();
-        let mut fleet = Json::obj();
-        for mode in ["off", "hops", "full"] {
-            engine.set(mode, num(&["engine_hot_path", mode])?);
-            fleet.set(mode, num(&["fleet_sweep", mode])?);
-        }
-        timings.set("engine", engine);
-        timings.set("fleet", fleet);
-        timings.set("speedup_vs_baseline", num(&["speedup_vs_baseline"])?);
-        if v.get("population_census").is_some() {
-            timings.set(
-                "population_scenarios_per_sec",
-                num(&["population_census", "scenarios_per_sec"])?,
-            );
-        }
-        if v.get("service_soak").is_some() {
-            let mut soak = Json::obj();
-            for field in ["p50_us", "p90_us", "p99_us", "requests_per_sec"] {
-                soak.set(field, num(&["service_soak", field])?);
-            }
-            timings.set("service_soak", soak);
-        }
-        if v.get("warm_cell").is_some() {
-            let mut warm = Json::obj();
-            for field in [
-                "cold_scenarios_per_sec",
-                "warm_scenarios_per_sec",
-                "speedup",
-                "warm_mt_scenarios_per_sec",
-                "thread_scaling",
-            ] {
-                warm.set(field, num(&["warm_cell", field])?);
-            }
-            timings.set("warm_cell", warm);
-        }
-
-        // The DNS-resolution row, written once a bench of the iterative
-        // resolver (delegation walk + EDNS0/TCP fallback) joins
-        // bench_report; bench files from before it stay valid, and a
-        // rewrite of an older file preserves the section when present.
-        if v.get("dns_resolution").is_some() {
-            structure.set(
-                "dns_resolution_queries",
-                num(&["dns_resolution", "queries"])?,
-            );
-            let mut dns = Json::obj();
-            for field in [
-                "iterative_us_per_query",
-                "flat_us_per_query",
-                "queries_per_sec",
-            ] {
-                if let Some(val) = v.get_path(&["dns_resolution", field]) {
-                    dns.set(field, val.clone());
-                }
-            }
-            timings.set("dns_resolution", dns);
-        }
-
-        // And the zero-copy codec rows (checksum kernels, Full-trace ring
-        // vs its recorded baseline), written once the conformance-corpus
-        // benchmarks are part of bench_report. The owned-vs-view parse
-        // speedups exist only in files recorded while a second, owned
-        // parser did; they are carried over when present.
-        if v.get("codec_zero_copy").is_some() {
-            structure.set(
-                "codec_corpus_inputs",
-                num(&["codec_zero_copy", "corpus_inputs"])?,
-            );
-            let mut codec = Json::obj();
-            for field in ["wire_parse_speedup", "dns_parse_speedup"] {
-                if let Some(val) = v.get_path(&["codec_zero_copy", field]) {
-                    codec.set(field, val.clone());
-                }
-            }
-            for field in ["checksum_swar_gb_per_s", "full_trace_speedup"] {
-                codec.set(field, num(&["codec_zero_copy", field])?);
-            }
-            timings.set("codec_zero_copy", codec);
-        }
-
-        let mut root = Json::obj();
-        root.set("schema", Json::U64(SCHEMA_VERSION));
-        root.set("kind", Json::Str("bench".into()));
-        root.set("source", Json::Str("BENCH_engine.json".into()));
-        root.set("structure", structure);
-        root.set("timings", timings);
-        Ok(RunManifest(root))
-    }
-
     /// Wrap an already-parsed manifest document.
     pub fn from_json(v: Json) -> RunManifest {
         RunManifest(v)
-    }
-
-    /// The manifest's `kind` field (`fleet-matrix`, `population`,
-    /// `soak`, or `bench`).
-    pub fn kind(&self) -> &str {
-        match self.0.get("kind") {
-            Some(Json::Str(s)) => s,
-            _ => "unknown",
-        }
     }
 
     /// The underlying JSON tree.

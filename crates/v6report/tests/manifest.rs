@@ -79,7 +79,7 @@ fn seeded_fault_variant_moves_only_fault_census_and_metrics_fields() {
     let clean = RunManifest::from_fleet(&clean_spec, &clean_cells, &run_serial(&clean_cells));
     let outage = RunManifest::from_fleet(&outage_spec, &outage_cells, &run_serial(&outage_cells));
 
-    let report = diff_manifests(clean.kind(), clean.json(), outage.json());
+    let report = diff_manifests(clean.json(), outage.json());
     assert!(!report.is_clean(), "the outage must leave a trace");
     assert!(report.gated(&DiffConfig::default()));
 
@@ -171,7 +171,7 @@ fn mutating_a_committed_census_cell_is_behavioural_and_gated() {
         },
         _ => panic!("manifest root is an object"),
     }
-    let report = diff_manifests("fleet-matrix", &golden, &mutated);
+    let report = diff_manifests(&golden, &mutated);
     assert_eq!(report.drifts.len(), 1);
     assert_eq!(report.drifts[0].path, "census.fleet.accurate_v6only");
     assert_eq!(report.drifts[0].class, DriftClass::Behavioural);
@@ -282,7 +282,7 @@ fn mutating_a_population_census_row_is_behavioural_and_gated() {
         },
         _ => panic!("manifest root is an object"),
     }
-    let report = diff_manifests("population", &golden, &mutated);
+    let report = diff_manifests(&golden, &mutated);
     assert_eq!(report.drifts.len(), 1);
     assert_eq!(report.drifts[0].path, "census.fleet.accurate_v6only");
     assert_eq!(report.drifts[0].class, DriftClass::Behavioural);
@@ -290,106 +290,4 @@ fn mutating_a_population_census_row_is_behavioural_and_gated() {
         report.gated(&DiffConfig::default()),
         "a flipped population census count must fail the gate"
     );
-}
-
-#[test]
-fn committed_bench_manifest_matches_raw_bench_json() {
-    let raw_path = format!("{}/../../BENCH_engine.json", env!("CARGO_MANIFEST_DIR"));
-    let raw = std::fs::read_to_string(&raw_path).unwrap_or_else(|e| panic!("read {raw_path}: {e}"));
-    let fresh = RunManifest::bench_from_raw(&raw).expect("normalizes");
-    assert_eq!(
-        committed("bench"),
-        fresh.canonical(),
-        "reports/bench.json drifted from BENCH_engine.json; re-run `just bless-reports`"
-    );
-    assert_eq!(fresh.kind(), "bench");
-}
-
-#[test]
-fn bench_normalization_preserves_a_dns_resolution_section() {
-    // A future `dns_resolution` row in BENCH_engine.json (iterative
-    // resolver bench) must survive normalization, not be silently
-    // dropped by a rewrite that only knows the older sections.
-    let raw = r#"{
-        "engine_hot_path": {"workload": 1, "frames_per_iter": 2, "events_per_iter": 3,
-                            "off": 1.0, "hops": 2.0, "full": 3.0},
-        "fleet_sweep": {"cells": 66, "off": 1.0, "hops": 2.0, "full": 3.0},
-        "baseline_pre_optimization": {"fleet_ms_per_sweep": 100.0, "fleet_scenarios_per_sec": 10.0},
-        "speedup_vs_baseline": 2.5,
-        "dns_resolution": {"queries": 4096, "iterative_us_per_query": 1.7,
-                           "flat_us_per_query": 0.4, "queries_per_sec": 588000.0}
-    }"#;
-    let manifest = RunManifest::bench_from_raw(raw).expect("normalizes");
-    let canonical = manifest.canonical();
-    let parsed = Json::parse(&canonical).expect("canonical output parses");
-    assert_eq!(
-        parsed
-            .get_path(&["structure", "dns_resolution_queries"])
-            .and_then(Json::as_number),
-        Some(4096.0),
-        "query count is deterministic structure, gated like any other"
-    );
-    for field in [
-        "iterative_us_per_query",
-        "flat_us_per_query",
-        "queries_per_sec",
-    ] {
-        assert!(
-            parsed
-                .get_path(&["timings", "dns_resolution", field])
-                .is_some(),
-            "timings.dns_resolution.{field} must survive normalization"
-        );
-    }
-    // And a bench file from before the row exists stays valid, without
-    // growing an empty section.
-    let older = raw.replace("\"dns_resolution\"", "\"dns_resolution_unused\"");
-    let manifest = RunManifest::bench_from_raw(&older).expect("older files stay valid");
-    let parsed = Json::parse(&manifest.canonical()).expect("parses");
-    assert!(parsed.get_path(&["timings", "dns_resolution"]).is_none());
-}
-
-#[test]
-fn bench_normalization_accepts_a_codec_section_without_parse_speedups() {
-    // With one parser there is no owned-vs-view speedup to record, so a
-    // fresh `bench_report` writes a `codec_zero_copy` section without
-    // `wire_parse_speedup`/`dns_parse_speedup`. It must still normalize,
-    // keeping the rows it does carry and inventing none.
-    let raw = r#"{
-        "engine_hot_path": {"workload": 1, "frames_per_iter": 2, "events_per_iter": 3,
-                            "off": 1.0, "hops": 2.0, "full": 3.0},
-        "codec_zero_copy": {"corpus_inputs": 14, "wire_parse_view_ns_per_frame": 77.9,
-                            "wire_summarize_ns_per_frame": 364.7,
-                            "dns_parse_view_ns_per_msg": 229.8,
-                            "checksum_scalar_gb_per_s": 6.87, "checksum_swar_gb_per_s": 10.76,
-                            "full_trace_baseline_ms": 18.283, "full_trace_ms": 4.837,
-                            "full_trace_speedup": 3.78},
-        "fleet_sweep": {"cells": 66, "off": 1.0, "hops": 2.0, "full": 3.0},
-        "baseline_pre_optimization": {"fleet_ms_per_sweep": 100.0, "fleet_scenarios_per_sec": 10.0},
-        "speedup_vs_baseline": 2.5
-    }"#;
-    let manifest = RunManifest::bench_from_raw(raw).expect("normalizes");
-    let parsed = Json::parse(&manifest.canonical()).expect("canonical output parses");
-    assert_eq!(
-        parsed
-            .get_path(&["structure", "codec_corpus_inputs"])
-            .and_then(Json::as_number),
-        Some(14.0)
-    );
-    for field in ["checksum_swar_gb_per_s", "full_trace_speedup"] {
-        assert!(
-            parsed
-                .get_path(&["timings", "codec_zero_copy", field])
-                .is_some(),
-            "timings.codec_zero_copy.{field} must survive normalization"
-        );
-    }
-    for field in ["wire_parse_speedup", "dns_parse_speedup"] {
-        assert!(
-            parsed
-                .get_path(&["timings", "codec_zero_copy", field])
-                .is_none(),
-            "timings.codec_zero_copy.{field} must not be invented"
-        );
-    }
 }

@@ -5,34 +5,31 @@
 //! ```sh
 //! # The 1M-host census the issue's acceptance criterion names
 //! # (also available as `just population`):
-//! cargo run --release --example population_census -- --size 1000000 --bench BENCH_engine.json
+//! cargo run --release --example population_census -- --size 1000000
 //!
 //! # A quick look at the default mix:
 //! cargo run --release --example population_census -- --size 20000
 //!
-//! # Warm-vs-cold arena differential bench (also `just warm-bench`):
-//! cargo run --release --example population_census -- --size 50000 --warm-bench BENCH_engine.json
+//! # Warm-vs-cold arena differential (also `just warm-bench`):
+//! cargo run --release --example population_census -- --size 50000 --warm-bench
 //! ```
 //!
 //! Memory stays O(shards × sketch) no matter the size — no per-cell
 //! result is ever materialized — and the printed census is byte-stable
 //! across `--threads` and `--shards` (see `crates/v6fleet/tests/
-//! population.rs` for the proofs). With `--bench FILE`, the run's
-//! throughput is merged into `BENCH_engine.json` as the
-//! `population_census` row the bench manifest normalizes.
+//! population.rs` for the proofs). The printed rates are a quick look;
+//! the measured, gated figures come from `perfbench --workload census`.
 
 use std::time::Instant;
 
 use v6fleet::{CensusSketch, FleetRunner, PopulationSpec};
-use v6report::Json;
 
 struct Args {
     size: u64,
     seed: u64,
     threads: usize,
     shards: usize,
-    bench: Option<String>,
-    warm_bench: Option<String>,
+    warm_bench: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -44,8 +41,7 @@ fn parse_args() -> Result<Args, String> {
             .unwrap_or(4)
             .clamp(1, 16),
         shards: 0,
-        bench: None,
-        warm_bench: None,
+        warm_bench: false,
     };
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
@@ -67,11 +63,10 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--shards: {e}"))?
             }
-            "--bench" => args.bench = Some(value(&flag)?),
-            "--warm-bench" => args.warm_bench = Some(value(&flag)?),
+            "--warm-bench" => args.warm_bench = true,
             other => {
                 return Err(format!(
-                    "unknown flag {other}\nusage: population_census [--size N] [--seed HEX] [--threads N] [--shards N] [--bench FILE] [--warm-bench FILE]"
+                    "unknown flag {other}\nusage: population_census [--size N] [--seed HEX] [--threads N] [--shards N] [--warm-bench]"
                 ))
             }
         }
@@ -84,48 +79,11 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Parse (or seed) the raw bench doc so a section rewrite preserves
-/// every other writer's rows.
-fn load_bench(path: &str) -> Json {
-    match std::fs::read_to_string(path) {
-        Ok(text) => Json::parse(&text).expect("existing bench file parses"),
-        Err(_) => {
-            let mut fresh = Json::obj();
-            fresh.set(
-                "generated_by",
-                Json::Str("examples/population_census.rs".into()),
-            );
-            fresh
-        }
-    }
-}
-
-fn write_bench(path: &str, doc: &Json, section: &str) {
-    let mut text = doc.canonical();
-    text.push('\n');
-    std::fs::write(path, text).expect("write bench file");
-    eprintln!("updated {path} ({section} row)");
-}
-
-/// Merge this run's throughput into `BENCH_engine.json` as the
-/// `population_census` row, preserving everything `bench_report` wrote.
-fn update_bench(path: &str, samples: u64, shards: usize, threads: usize, per_sec: f64) {
-    let mut doc = load_bench(path);
-    let mut row = Json::obj();
-    row.set("samples", Json::U64(samples));
-    row.set("shards", Json::U64(shards as u64));
-    row.set("threads", Json::U64(threads as u64));
-    row.set("scenarios_per_sec", Json::F64(per_sec));
-    doc.set("population_census", row);
-    write_bench(path, &doc, "population_census");
-}
-
-/// The warm-vs-cold differential benchmark behind `just warm-bench`:
-/// the same sampled population run three ways — cold (fresh testbed
-/// per cell, the pre-PR-9 hot loop), warm single-core (one arena), and
-/// warm on the full thread pool — with the aggregates asserted equal
-/// before any number is recorded. Writes the `warm_cell` section.
-fn run_warm_bench(args: &Args, path: &str) {
+/// The warm-vs-cold differential behind `just warm-bench`: the same
+/// sampled population run three ways — cold (fresh testbed per cell),
+/// warm single-core (one arena), and warm on the full thread pool —
+/// with the aggregates asserted equal before any rate is printed.
+fn run_warm_bench(args: &Args) {
     let spec = PopulationSpec::paper_default(args.seed, args.size);
     eprintln!(
         "warm-bench: {} cells (seed {:#x}), cold vs warm x1 vs warm x{}...",
@@ -168,19 +126,6 @@ fn run_warm_bench(args: &Args, path: &str) {
         args.threads
     );
     println!("aggregates: identical across all three runs");
-
-    let mut doc = load_bench(path);
-    let mut row = Json::obj();
-    row.set("samples", Json::U64(args.size));
-    row.set("shards", Json::U64(args.shards as u64));
-    row.set("threads", Json::U64(args.threads as u64));
-    row.set("cold_scenarios_per_sec", Json::F64(cold_per_sec));
-    row.set("warm_scenarios_per_sec", Json::F64(warm1_per_sec));
-    row.set("speedup", Json::F64(speedup));
-    row.set("warm_mt_scenarios_per_sec", Json::F64(warm_mt_per_sec));
-    row.set("thread_scaling", Json::F64(scaling));
-    doc.set("warm_cell", row);
-    write_bench(path, &doc, "warm_cell");
 }
 
 fn main() {
@@ -191,8 +136,8 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if let Some(path) = args.warm_bench.clone() {
-        run_warm_bench(&args, &path);
+    if args.warm_bench {
+        run_warm_bench(&args);
         return;
     }
     let spec = PopulationSpec::paper_default(args.seed, args.size);
@@ -202,14 +147,10 @@ fn main() {
     );
     let run = FleetRunner::new(args.threads).run_population(&spec, args.shards);
     print!("{}", run.report.render());
-    let per_sec = run.wall.scenarios_per_sec();
     eprintln!(
         "wall: {:.2}s on {} thread(s) = {:.0} scenarios/sec",
         run.wall.elapsed.as_secs_f64(),
         run.wall.threads,
-        per_sec,
+        run.wall.scenarios_per_sec(),
     );
-    if let Some(path) = &args.bench {
-        update_bench(path, args.size, args.shards, args.threads, per_sec);
-    }
 }

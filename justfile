@@ -22,7 +22,7 @@ lint:
     cargo fmt --all --check
 
 # Emit fresh canonical run manifests (clean matrix, every fault
-# variant, the 100k sampled population, bench) into target/reports for
+# variant, the 100k sampled population) into target/reports for
 # inspection — never touches the committed goldens.
 report:
     cargo run --release -p v6report -- emit --out target/reports
@@ -63,39 +63,28 @@ census-faults:
     cargo run --release --example fleet_census -- --faults
 
 # The full 1M-host population census (off CI's critical path): streams
-# a million sampled cells through the sharded census and records
-# scenarios/sec as the population_census row in BENCH_engine.json.
+# a million sampled cells through the sharded census and prints the
+# census plus its wall-clock rate.
 population:
-    cargo run --release --example population_census -- --size 1000000 --bench BENCH_engine.json
+    cargo run --release --example population_census -- --size 1000000
 
-# Cold-vs-warm arena bench: run the census three ways (cold
+# Cold-vs-warm arena differential: run the census three ways (cold
 # build-and-throw-away, warm single-core arena, warm full pool), assert
-# the aggregates byte-identical, and record the warm_cell row in
-# BENCH_engine.json.
+# the aggregates byte-identical, and print each rate.
 warm-bench:
-    cargo run --release --example population_census -- --size 50000 --shards 8 --warm-bench BENCH_engine.json
+    cargo run --release --example population_census -- --size 50000 --shards 8 --warm-bench
 
-# 1-vs-N worker-thread throughput on the 66-cell matrix.
-bench-fleet:
-    cargo bench -p v6bench --bench fleet_throughput
-
-# The engine perf pair: raw forwarding ring per trace mode, then the
-# fleet sweep the acceptance numbers come from.
+# The benchmark (BENCHMARK.json's command): end-to-end and per-layer
+# figures with repetitions, spread, host facts and same-run baselines.
+# See perfbench/README.md for the workloads and their output.
 bench:
-    cargo bench -p v6bench --bench engine_hot_path
-    cargo bench -p v6bench --bench fleet_throughput
-
-# Regenerate BENCH_engine.json (frames/sec + events/sec per trace mode,
-# fleet sweep timings, and the recorded pre-optimization baseline).
-bench-report:
-    cargo run --release --example bench_report
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload census --seed 1 --seconds 50 --trace 0
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload matrix --seed 1 --seconds 50 --trace 0
 
 # One iteration of every bench body — proves the benches still run
 # without paying for full sampling (what CI executes).
 bench-smoke:
     cargo bench -p v6bench --bench engine_hot_path -- --test
-    cargo bench -p v6bench --bench fleet_throughput -- --test
-    cargo bench -p v6bench --bench population_census -- --test
     cargo bench -p v6bench --bench codec_zero_copy -- --test
 
 # The codec-conformance pass at CI depth: the one frame parser and the
@@ -132,12 +121,6 @@ bless-traces:
 # stops it). Port 0 picks an ephemeral port; pass one to pin it.
 serve port="8925":
     cargo run --release -p v6labd -- serve --port {{port}} --threads 2
-
-# Soak the service: boot an in-process daemon, hammer the portal-scoring
-# HTTP path, and record latency percentiles as the service_soak row in
-# BENCH_engine.json.
-soak:
-    cargo run --release --example load_gen -- --requests 2000 --clients 4 --bench BENCH_engine.json
 
 # The daemon's own suite: cron/scheduler property tests, detector
 # thresholds, the deterministic soak golden, and the end-to-end HTTP
