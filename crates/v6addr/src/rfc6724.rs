@@ -55,24 +55,26 @@ impl Default for PolicyTable {
 }
 
 impl PolicyTable {
-    /// The default table of RFC 6724 §2.1.
+    /// The default table of RFC 6724 §2.1. Every host builds one, so the
+    /// rows are constant addresses and lengths, never parsed strings.
     pub fn rfc6724_default() -> Self {
-        let row = |p: &str, precedence: u8, label: u8| PolicyEntry {
-            prefix: p.parse().expect("static policy prefix"),
+        let row = |addr: Ipv6Addr, len: u8, precedence: u8, label: u8| PolicyEntry {
+            prefix: Ipv6Prefix::new(addr, len).expect("static policy prefix"),
             precedence,
             label,
         };
+        let v6 = |first: u16| Ipv6Addr::new(first, 0, 0, 0, 0, 0, 0, 0);
         PolicyTable {
             entries: vec![
-                row("::1/128", 50, 0),
-                row("::/0", 40, 1),
-                row("::ffff:0:0/96", 35, 4),
-                row("2002::/16", 30, 2),
-                row("2001::/32", 5, 5),
-                row("fc00::/7", 3, 13),
-                row("::/96", 1, 3),
-                row("fec0::/10", 1, 11),
-                row("3ffe::/16", 1, 12),
+                row(Ipv6Addr::LOCALHOST, 128, 50, 0),
+                row(Ipv6Addr::UNSPECIFIED, 0, 40, 1),
+                row(Ipv6Addr::new(0, 0, 0, 0, 0, 0xffff, 0, 0), 96, 35, 4),
+                row(v6(0x2002), 16, 30, 2),
+                row(v6(0x2001), 32, 5, 5),
+                row(v6(0xfc00), 7, 3, 13),
+                row(Ipv6Addr::UNSPECIFIED, 96, 1, 3),
+                row(v6(0xfec0), 10, 1, 11),
+                row(v6(0x3ffe), 16, 1, 12),
             ],
         }
     }
@@ -369,6 +371,30 @@ fn dest_order(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn default_table_equals_the_parsed_rfc_rows() {
+        let parsed: Vec<PolicyEntry> = [
+            ("::1/128", 50, 0),
+            ("::/0", 40, 1),
+            ("::ffff:0:0/96", 35, 4),
+            ("2002::/16", 30, 2),
+            ("2001::/32", 5, 5),
+            ("fc00::/7", 3, 13),
+            ("::/96", 1, 3),
+            ("fec0::/10", 1, 11),
+            ("3ffe::/16", 1, 12),
+        ]
+        .into_iter()
+        .map(|(p, precedence, label)| PolicyEntry {
+            prefix: p.parse().unwrap(),
+            precedence,
+            label,
+        })
+        .collect();
+        assert_eq!(PolicyTable::rfc6724_default().entries, parsed);
+        assert_eq!(PolicyTable::default().entries, parsed);
+    }
 
     fn src(addr: &str, iface: u32, plen: u8) -> CandidateSource {
         CandidateSource::plain(addr.parse().unwrap(), iface, plen)

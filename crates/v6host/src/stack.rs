@@ -31,7 +31,6 @@ use v6sim::tcp::TcpEndpoint;
 use v6sim::time::SimTime;
 use v6wire::arp::{ArpOp, ArpPacket};
 use v6wire::clamp;
-use v6wire::ethernet::{EtherType, EthernetFrame};
 use v6wire::fasthash::FastMap;
 use v6wire::icmpv4::Icmpv4Message;
 use v6wire::icmpv6::{all_routers, solicited_node, Icmpv6Message};
@@ -386,13 +385,10 @@ impl Host {
     fn send_v6(&mut self, pkt: Ipv6Packet, ctx: &mut Ctx) {
         let dst = pkt.dst;
         if dst.is_multicast() {
-            let frame = EthernetFrame::new(
-                MacAddr::for_ipv6_multicast(dst),
-                self.mac,
-                EtherType::Ipv6,
-                pkt.encode(),
+            ctx.send(
+                0,
+                pkt.encode_frame(MacAddr::for_ipv6_multicast(dst), self.mac),
             );
-            ctx.send(0, frame.encode());
             return;
         }
         let on_link = v6_class(dst).scope() == v6addr::class::Scope::LinkLocal
@@ -406,8 +402,7 @@ impl Host {
             }
         };
         if let Some(&mac) = self.neigh6.get(&next_hop) {
-            let frame = EthernetFrame::new(mac, self.mac, EtherType::Ipv6, pkt.encode());
-            ctx.send(0, frame.encode());
+            ctx.send(0, pkt.encode_frame(mac, self.mac));
         } else {
             self.pend6.entry(next_hop).or_default().push(pkt);
             let src = self.pick_v6_source(next_hop).unwrap_or(self.link_local);
@@ -431,9 +426,7 @@ impl Host {
         let Some(v4) = self.v4.clone() else { return };
         let dst = pkt.dst;
         if dst == Ipv4Addr::BROADCAST {
-            let frame =
-                EthernetFrame::new(MacAddr::BROADCAST, self.mac, EtherType::Ipv4, pkt.encode());
-            ctx.send(0, frame.encode());
+            ctx.send(0, pkt.encode_frame(MacAddr::BROADCAST, self.mac));
             return;
         }
         let next_hop = if v4.prefix.contains(dst) {
@@ -445,8 +438,7 @@ impl Host {
             }
         };
         if let Some(&mac) = self.arp4.get(&next_hop) {
-            let frame = EthernetFrame::new(mac, self.mac, EtherType::Ipv4, pkt.encode());
-            ctx.send(0, frame.encode());
+            ctx.send(0, pkt.encode_frame(mac, self.mac));
         } else {
             self.pend4.entry(next_hop).or_default().push(pkt);
             let req = ArpPacket::request(self.mac, v4.addr, next_hop);

@@ -8,15 +8,24 @@
 //! # Hot-path architecture
 //!
 //! Frame delivery is the innermost loop of every fleet sweep, so the engine
-//! avoids per-frame allocation and hashing entirely:
+//! keeps per-frame allocation, copying and hashing off its own path:
 //!
+//! * **Compact event queue** — the heap orders 24-byte `(at, seq, slot)`
+//!   keys; each event's node and frame live in a slab slot that is
+//!   recycled through a free list, so sifting never moves a frame. `seq`
+//!   is unique, so the order is exactly `(at, seq)`.
 //! * **Indexed link table** — links live in a per-node `Vec<Option<..>>`
 //!   indexed by port, so dispatch is two bounds-checked loads instead of a
 //!   `HashMap` probe. Compiled fault links use the same layout, indexed by
 //!   `(src, dst)` node id.
+//! * **Count-only floods** — [`Ctx::send_copy`] to a port with no cable
+//!   bumps the sender's counters in place and queues nothing, so a 50-port
+//!   switch flood costs one action per cable, not one per port.
 //! * **Frame buffer pool** — delivered frame buffers are recycled into a
-//!   [`FramePool`]; nodes obtain outgoing buffers via [`Ctx::buffer`] /
-//!   [`Ctx::buffer_from`], so steady-state forwarding allocates nothing.
+//!   [`FramePool`]; forwarding copies ([`Ctx::send_copy`],
+//!   [`Ctx::buffer_from`]) draw from it, so steady-state forwarding
+//!   allocates nothing. Endpoint encoders build their frames in fresh,
+//!   exact-capacity buffers (see `v6wire::packet`).
 //! * **Trace modes** — [`TraceMode::Hops`] records only
 //!   `(at, src, dst, len)`; node names are interned at `add_node` time and
 //!   resolved lazily by [`Network::format_trace`]. [`TraceMode::Full`]
@@ -51,7 +60,9 @@ pub enum TraceMode {
 }
 
 /// Bounded free-list of frame buffers. `get` prefers a recycled buffer;
-/// `put` returns one after delivery. Counters feed
+/// `put` returns one after delivery. Only buffers drawn through [`Ctx`]
+/// (forwarding copies and [`Ctx::buffer`]) pass through `get`; every
+/// delivered frame, pooled or not, is offered to `put`. Counters feed
 /// [`MetricsSnapshot::pool`].
 #[derive(Debug, Default)]
 struct FramePool {
@@ -117,10 +128,6 @@ impl FramePool {
 enum Action {
     /// Transmit a frame out of a local port.
     Send { port: u32, frame: Vec<u8> },
-    /// A transmission attempt on a port with no cable: counted exactly
-    /// like an unlinked [`Action::Send`], but the frame bytes were never
-    /// copied (see [`Ctx::send_copy`]).
-    SendUnlinked { len: usize },
     /// Fire `on_timer(token)` after `delay`.
     Timer { delay: SimTime, token: u64 },
 }
@@ -134,6 +141,11 @@ pub struct Ctx<'p> {
     /// The acting node's port table row, so `send_copy` can skip the
     /// copy for ports with no cable attached.
     links: &'p [Option<(NodeId, u32, SimTime)>],
+    /// The acting node's counters, bumped in place by `send_copy` on an
+    /// unlinked port.
+    counters: &'p mut LinkCounters,
+    /// The engine-wide unlinked-drop total, bumped alongside `counters`.
+    dropped_unlinked: &'p mut u64,
 }
 
 impl Ctx<'_> {
@@ -144,23 +156,27 @@ impl Ctx<'_> {
 
     /// Transmit a copy of `bytes` out of `port` — the flood idiom.
     ///
-    /// When the port has no cable attached, the attempt still lands in
-    /// the counters (`frames_tx`, `bytes_tx`, `drops_unlinked`) exactly
-    /// as a plain [`Ctx::send`] would, but the frame is never copied —
-    /// so flooding a 50-port switch with 4 cables costs 4 copies, not 50.
+    /// When the port has no cable attached, the attempt lands in the
+    /// counters (`frames_tx`, `bytes_tx`, `drops_unlinked` and the
+    /// engine's `frames_dropped_unlinked`) exactly as a plain
+    /// [`Ctx::send`] would, but nothing is copied or queued — so flooding
+    /// a 50-port switch with 4 cables costs 4 copies and 4 actions, not 50.
     pub fn send_copy(&mut self, port: u32, bytes: &[u8]) {
         if self.links.get(port as usize).is_some_and(Option::is_some) {
             let mut buf = self.pool.get();
             buf.extend_from_slice(bytes);
             self.actions.push(Action::Send { port, frame: buf });
         } else {
-            self.actions.push(Action::SendUnlinked { len: bytes.len() });
+            self.counters.frames_tx += 1;
+            self.counters.bytes_tx += bytes.len() as u64;
+            self.counters.drops_unlinked += 1;
+            *self.dropped_unlinked += 1;
         }
     }
 
-    /// An empty frame buffer from the engine's pool. Buffers handed to
-    /// [`Ctx::send`] are recycled after delivery, so a node that builds
-    /// its frames in pooled buffers allocates nothing in steady state.
+    /// An empty frame buffer from the engine's pool. Every delivered
+    /// frame is recycled into the pool, so a node that builds its frames
+    /// in pooled buffers allocates nothing in steady state.
     pub fn buffer(&mut self) -> Vec<u8> {
         self.pool.get()
     }
@@ -207,19 +223,69 @@ pub trait Node {
     }
 }
 
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug)]
 enum EventKind {
     Start,
     Frame { port: u32, frame: Vec<u8> },
     Timer { token: u64 },
 }
 
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// What an event does once its key reaches the head of the queue.
+#[derive(Debug)]
 struct Event {
-    at: SimTime,
-    seq: u64,
     node: NodeId,
     kind: EventKind,
+}
+
+/// The event queue: a binary heap of `(at, seq, slot)` keys over a slab
+/// of [`Event`] payloads. Sifting moves 24-byte keys instead of whole
+/// events, and a slot freed by `pop` is reused by the next `push`. `seq`
+/// is unique per push, so keys never tie and the slot never decides the
+/// order: events fire in exactly `(at, seq)` order.
+#[derive(Debug, Default)]
+struct EventQueue {
+    keys: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    slots: Vec<Option<Event>>,
+    free: Vec<u32>,
+}
+
+impl EventQueue {
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn push(&mut self, at: SimTime, seq: u64, event: Event) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                self.slots.push(Some(event));
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.keys.push(Reverse((at, seq, slot)));
+    }
+
+    /// Time of the earliest event, if any.
+    fn next_at(&self) -> Option<SimTime> {
+        self.keys.peek().map(|Reverse((at, _, _))| *at)
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, Event)> {
+        let Reverse((at, _, slot)) = self.keys.pop()?;
+        self.free.push(slot);
+        let event = self.slots[slot as usize].take().expect("queued slot");
+        Some((at, event))
+    }
+
+    /// Drop every queued event, keeping the allocations.
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.slots.clear();
+        self.free.clear();
+    }
 }
 
 /// One hop recorded in the frame trace. Node names are *not* stored here
@@ -292,7 +358,7 @@ pub struct Network {
     engine_counters: EngineMetrics,
     /// Per-node port table: `links[node][port] = (peer, peer_port, latency)`.
     links: Vec<Vec<Option<(NodeId, u32, SimTime)>>>,
-    queue: BinaryHeap<Reverse<Event>>,
+    queue: EventQueue,
     now: SimTime,
     seq: u64,
     started: bool,
@@ -347,7 +413,7 @@ impl Network {
             node_counters: Vec::new(),
             engine_counters: EngineMetrics::default(),
             links: Vec::new(),
-            queue: BinaryHeap::new(),
+            queue: EventQueue::default(),
             now: SimTime::ZERO,
             seq: 0,
             started: false,
@@ -509,12 +575,7 @@ impl Network {
 
     fn push(&mut self, at: SimTime, node: NodeId, kind: EventKind) {
         self.seq += 1;
-        self.queue.push(Reverse(Event {
-            at,
-            seq: self.seq,
-            node,
-            kind,
-        }));
+        self.queue.push(at, self.seq, Event { node, kind });
         let depth = self.queue.len() as u64;
         if depth > self.engine_counters.queue_high_water {
             self.engine_counters.queue_high_water = depth;
@@ -545,6 +606,8 @@ impl Network {
             actions: std::mem::take(&mut self.action_scratch),
             pool: &mut self.frame_pool,
             links: &self.links[id],
+            counters: &mut self.node_counters[id],
+            dropped_unlinked: &mut self.engine_counters.frames_dropped_unlinked,
         };
         let r = {
             let node = self.nodes[id]
@@ -619,12 +682,6 @@ impl Network {
                         self.engine_counters.frames_dropped_unlinked += 1;
                         self.frame_pool.put(frame);
                     }
-                }
-                Action::SendUnlinked { len } => {
-                    self.node_counters[node].frames_tx += 1;
-                    self.node_counters[node].bytes_tx += len as u64;
-                    self.node_counters[node].drops_unlinked += 1;
-                    self.engine_counters.frames_dropped_unlinked += 1;
                 }
                 Action::Timer { delay, token } => {
                     self.push(self.now + delay, node, EventKind::Timer { token });
@@ -728,30 +785,29 @@ impl Network {
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         self.start();
         let mut processed = 0;
-        while let Some(Reverse(ev)) = self.queue.peek() {
-            if ev.at > deadline {
-                break;
-            }
-            let Reverse(ev) = self.queue.pop().expect("peeked");
-            self.now = ev.at;
+        while self.queue.next_at().is_some_and(|at| at <= deadline) {
+            let (at, ev) = self.queue.pop().expect("peeked");
+            self.now = at;
             let mut ctx = Ctx {
                 now: self.now,
                 actions: std::mem::take(&mut self.action_scratch),
                 pool: &mut self.frame_pool,
                 links: &self.links[ev.node],
+                counters: &mut self.node_counters[ev.node],
+                dropped_unlinked: &mut self.engine_counters.frames_dropped_unlinked,
             };
             match ev.kind {
                 EventKind::Start => self.nodes[ev.node].start(&mut ctx),
                 EventKind::Frame { port, frame } => {
                     self.frames_delivered += 1;
-                    self.node_counters[ev.node].frames_rx += 1;
-                    self.node_counters[ev.node].bytes_rx += frame.len() as u64;
+                    ctx.counters.frames_rx += 1;
+                    ctx.counters.bytes_rx += frame.len() as u64;
                     self.nodes[ev.node].on_frame(port, &frame, &mut ctx);
                     // The buffer's journey ends here; recycle it.
                     ctx.pool.put(frame);
                 }
                 EventKind::Timer { token } => {
-                    self.node_counters[ev.node].timer_fires += 1;
+                    ctx.counters.timer_fires += 1;
                     self.engine_counters.timers_fired += 1;
                     self.nodes[ev.node].on_timer(token, &mut ctx)
                 }
@@ -1145,6 +1201,60 @@ mod determinism_tests {
         }));
         net.run_until(SimTime::from_secs(2));
         assert_eq!(net.node_mut::<Recorder>(r).fired, vec![3, 1, 2]);
+    }
+
+    /// Timers per round in [`Burst`].
+    const ROUND: u64 = 1200;
+
+    /// Schedules `ROUND` timers for one instant at start, tokens permuted;
+    /// each of those schedules one more for a second shared instant, so
+    /// the second round is pushed between pops into the slots the first
+    /// round frees.
+    struct Burst {
+        fired: Vec<u64>,
+    }
+
+    impl Node for Burst {
+        fn name(&self) -> &str {
+            "burst"
+        }
+
+        fn start(&mut self, ctx: &mut Ctx) {
+            for i in 0..ROUND {
+                ctx.timer_in(SimTime::from_secs(1), i * 7919 % ROUND);
+            }
+        }
+
+        fn on_frame(&mut self, _p: u32, _f: &[u8], _ctx: &mut Ctx) {}
+
+        fn on_timer(&mut self, token: u64, ctx: &mut Ctx) {
+            self.fired.push(token);
+            if token < ROUND {
+                ctx.timer_in(SimTime::from_secs(1), ROUND + token * 13 % ROUND);
+            }
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn slab_slots_are_reused_and_order_holds() {
+        let mut net = Network::new();
+        let b = net.add_node(Box::new(Burst { fired: Vec::new() }));
+        let events = net.run_until(SimTime::from_secs(3));
+        assert_eq!(events, 1 + 2 * ROUND);
+        let first: Vec<u64> = (0..ROUND).map(|i| i * 7919 % ROUND).collect();
+        let second = first.iter().map(|t| ROUND + t * 13 % ROUND);
+        let expected: Vec<u64> = first.iter().copied().chain(second).collect();
+        assert_eq!(net.node_mut::<Burst>(b).fired, expected);
+        assert!(
+            net.queue.slots.len() <= ROUND as usize + 1,
+            "second round reuses freed slots: {} slots",
+            net.queue.slots.len()
+        );
+        assert_eq!(net.metrics().engine.queue_high_water, ROUND);
     }
 
     #[test]

@@ -22,7 +22,6 @@ use v6addr::prefix::Ipv6Prefix;
 use v6addr::rfc6052::Nat64Prefix;
 use v6dhcp::server::{DhcpServer, ServerConfig};
 use v6wire::arp::{ArpOp, ArpPacket};
-use v6wire::ethernet::{EtherType, EthernetFrame};
 use v6wire::fasthash::FastMap;
 use v6wire::icmpv4::Icmpv4Message;
 use v6wire::icmpv6::{all_nodes, Icmpv6Message};
@@ -215,8 +214,7 @@ impl FiveGGateway {
             self.no_route_drops += 1;
             return; // would queue + NS in a full stack
         };
-        let frame = EthernetFrame::new(mac, self.lan_mac, EtherType::Ipv6, pkt.encode());
-        ctx.send(LAN, frame.encode());
+        ctx.send(LAN, pkt.encode_frame(mac, self.lan_mac));
     }
 
     fn lan_send_v4(&mut self, pkt: Ipv4Packet, ctx: &mut Ctx) {
@@ -224,28 +222,15 @@ impl FiveGGateway {
             self.no_route_drops += 1;
             return;
         };
-        let frame = EthernetFrame::new(mac, self.lan_mac, EtherType::Ipv4, pkt.encode());
-        ctx.send(LAN, frame.encode());
+        ctx.send(LAN, pkt.encode_frame(mac, self.lan_mac));
     }
 
     fn wan_send_v4(&self, pkt: Ipv4Packet, ctx: &mut Ctx) {
-        let frame = EthernetFrame::new(
-            MacAddr::BROADCAST,
-            self.lan_mac,
-            EtherType::Ipv4,
-            pkt.encode(),
-        );
-        ctx.send(WAN, frame.encode());
+        ctx.send(WAN, pkt.encode_frame(MacAddr::BROADCAST, self.lan_mac));
     }
 
     fn wan_send_v6(&self, pkt: Ipv6Packet, ctx: &mut Ctx) {
-        let frame = EthernetFrame::new(
-            MacAddr::BROADCAST,
-            self.lan_mac,
-            EtherType::Ipv6,
-            pkt.encode(),
-        );
-        ctx.send(WAN, frame.encode());
+        ctx.send(WAN, pkt.encode_frame(MacAddr::BROADCAST, self.lan_mac));
     }
 
     fn handle_lan_v6(&mut self, parsed: &FrameView<'_>, ip: &Ipv6View<'_>, ctx: &mut Ctx) {

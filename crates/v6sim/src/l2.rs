@@ -315,6 +315,42 @@ mod tests {
         .encode()
     }
 
+    /// A flood out of a 50-port switch with 3 cables, one on the ingress
+    /// port: of the 49 transmissions, the 47 on ports with no cable are
+    /// counted exactly like a plain unlinked send, and only the 2 cabled
+    /// copies draw a buffer and reach the queue.
+    #[test]
+    fn flood_counts_unlinked_ports_without_copying() {
+        let mut net = Network::new();
+        let sw = net.add_node(Box::new(Switch::new("sw", 50)));
+        let sinks = [Sink::new("a"), Sink::new("b"), Sink::new("c")].map(|s| net.add_node(s));
+        for (port, sink) in [0, 7, 49].into_iter().zip(sinks) {
+            net.link(sw, port, sink, 0, SimTime::from_micros(1));
+        }
+        let group = MacAddr::for_ipv6_multicast(all_nodes());
+        let frame = unicast_frame(mac(1), group);
+        let len = frame.len() as u64;
+        net.with_node::<Switch, _>(sw, |s, ctx| s.on_frame(0, &frame, ctx));
+
+        let m = net.metrics();
+        let link = m.nodes[sw].link;
+        assert_eq!(link.frames_tx, 49);
+        assert_eq!(link.bytes_tx, 49 * len);
+        assert_eq!(link.drops_unlinked, 47);
+        assert_eq!(m.engine.frames_dropped_unlinked, 47);
+        assert_eq!(m.engine.frames_forwarded, 2);
+        assert_eq!(m.engine.queue_high_water, 2, "only cabled copies queue");
+        assert_eq!(
+            m.pool.allocated + m.pool.reused,
+            2,
+            "only cabled copies draw buffers"
+        );
+
+        net.run_for(SimTime::from_millis(1));
+        let seen: Vec<usize> = sinks.map(|s| net.node_mut::<Sink>(s).frames.len()).to_vec();
+        assert_eq!(seen, [0, 1, 1], "flooded everywhere but the ingress");
+    }
+
     #[test]
     fn learning_switch_floods_then_forwards() {
         let mut net = Network::new();

@@ -15,14 +15,11 @@ use v6dns::view::MessageView;
 use v6sim::engine::{Ctx, Node};
 use v6sim::tcp::TcpEndpoint;
 use v6wire::arp::{ArpOp, ArpPacket};
-use v6wire::ethernet::{EtherType, EthernetFrame};
 use v6wire::fasthash::FastMap;
 use v6wire::icmpv6::Icmpv6Message;
-use v6wire::ipv4::{proto, Ipv4Packet};
-use v6wire::ipv6::Ipv6Packet;
 use v6wire::mac::MacAddr;
 use v6wire::ndp::{NdpOption, NeighborAdvertisement};
-use v6wire::packet::{build_arp, build_icmpv6};
+use v6wire::packet::{build_arp, build_icmpv6, build_tcp_v4, build_tcp_v6};
 use v6wire::tcp::TcpSegment;
 use v6wire::udp::{port, UdpDatagram};
 use v6wire::view::{FrameView, Icmp6View, L3View, L4View};
@@ -254,14 +251,10 @@ impl PiServer {
     fn send_tcp_segment(&self, id: DnsFlowId, seg: TcpSegment, dst_mac: MacAddr, ctx: &mut Ctx) {
         match (id.local, id.remote) {
             (IpAddr::V6(l), IpAddr::V6(r)) => {
-                let pkt = Ipv6Packet::new(l, r, proto::TCP, seg.encode_v6(l, r));
-                let frame = EthernetFrame::new(dst_mac, self.mac, EtherType::Ipv6, pkt.encode());
-                ctx.send(0, frame.encode());
+                ctx.send(0, build_tcp_v6(self.mac, dst_mac, l, r, &seg));
             }
             (IpAddr::V4(l), IpAddr::V4(r)) => {
-                let pkt = Ipv4Packet::new(l, r, proto::TCP, seg.encode_v4(l, r));
-                let frame = EthernetFrame::new(dst_mac, self.mac, EtherType::Ipv4, pkt.encode());
-                ctx.send(0, frame.encode());
+                ctx.send(0, build_tcp_v4(self.mac, dst_mac, l, r, &seg));
             }
             _ => {}
         }

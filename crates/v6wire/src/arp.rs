@@ -59,6 +59,12 @@ impl ArpPacket {
     /// Serialize to bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(Self::LEN);
+        self.write(&mut out);
+        out
+    }
+
+    /// Append the 28 wire bytes to `out`.
+    pub fn write(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&1u16.to_be_bytes()); // htype: Ethernet
         out.extend_from_slice(&0x0800u16.to_be_bytes()); // ptype: IPv4
         out.push(6); // hlen
@@ -72,7 +78,6 @@ impl ArpPacket {
         out.extend_from_slice(&self.sender_ip.octets());
         out.extend_from_slice(&self.target_mac.0);
         out.extend_from_slice(&self.target_ip.octets());
-        out
     }
 
     /// Parse from bytes.

@@ -2,13 +2,16 @@
 //! UDP, TCP, ICMPv4 and ICMPv6, plus the incremental-update rule (RFC 1624)
 //! that the SIIT translator in `v6xlat` relies on.
 //!
-//! Large even-aligned spans are summed by a wide-lane SWAR kernel (eight
-//! bytes per step, two masked `u64` lane accumulators) selected at runtime;
-//! `SC24_CHECKSUM_KERNEL=scalar|swar` forces a kernel, and
+//! Spans of eight bytes or more are summed by a wide kernel selected at
+//! runtime: native-endian `u64` loads added with end-around carry (the
+//! carries are counted and added back once), folded to 16 bits and byte
+//! swapped once at the end — the byte-order independence of RFC 1071
+//! §2(B). `SC24_CHECKSUM_KERNEL=scalar|swar` forces a kernel, and
 //! [`checksum_with`] exposes both for differential testing. Because the
 //! ones'-complement sum is a fold of a plain integer sum, the kernels are
 //! bit-for-bit interchangeable — `tests/conformance.rs` proves it on the
-//! committed corpus and on random slices.
+//! committed corpus, on random slices and on carry-heavy spans at every
+//! alignment. Pseudo-headers are summed as words, never as byte slices.
 
 use std::net::{Ipv4Addr, Ipv6Addr};
 use std::sync::OnceLock;
@@ -18,9 +21,8 @@ use std::sync::OnceLock;
 pub enum Kernel {
     /// Two bytes per step (`u16` words), the reference implementation.
     Scalar,
-    /// Eight bytes per step: big-endian `u64` loads split into two masked
-    /// 16-bit lane accumulators (SWAR), folded into the running sum per
-    /// block.
+    /// Eight bytes per step: native-endian `u64` words summed with end-around
+    /// carry, folded and byte swapped once per span (RFC 1071 §2(B)).
     Swar,
 }
 
@@ -36,46 +38,44 @@ pub fn active_kernel() -> Kernel {
     )
 }
 
-/// SWAR is only worth the lane bookkeeping beyond this many bytes; below it
-/// the scalar loop wins on setup cost. Chosen so 16-byte spans — an IPv6
-/// address pushed into a pseudo-header sum — already take the wide path
-/// (two chunks amortize the lane fold), while 8-byte UDP headers and
-/// smaller fragments stay scalar.
-const SWAR_MIN_BYTES: usize = 16;
+/// Below one `u64` word the wide kernel has nothing to load, so shorter
+/// spans take the scalar loop.
+const WIDE_MIN_BYTES: usize = 8;
 
-/// Max 8-byte chunks accumulated before lanes are flushed into the `u64`
-/// running sum. Each 16-bit lane has 16 bits of headroom, so up to 2^16 - 1
-/// chunk additions can never carry across lanes.
-const SWAR_BLOCK_CHUNKS: usize = 0xffff;
+/// Fold a sum to 16 bits with end-around carry. The result is zero only
+/// when `s` is zero, so "all bytes zero" and "a nonzero multiple of
+/// 0xffff" (folds to 0xffff) stay distinct, as the scalar sum keeps them.
+#[inline]
+fn fold16(mut s: u64) -> u64 {
+    s = (s & 0xffff_ffff) + (s >> 32);
+    s = (s & 0xffff) + (s >> 16);
+    s = (s & 0xffff) + (s >> 16);
+    (s & 0xffff) + (s >> 16)
+}
 
-const LANE_MASK: u64 = 0x0000_ffff_0000_ffff;
-
-/// Sum `data` (even length) as big-endian 16-bit words using the SWAR
-/// kernel, returning the plain (unfolded) integer sum.
-fn sum_words_swar(data: &[u8]) -> u64 {
+/// Sum `data` (even length) as big-endian 16-bit words with the wide
+/// kernel, returning a value congruent to the plain word sum modulo
+/// 0xffff (zero only for all-zero input) and at most 0xffff.
+fn sum_words_wide(data: &[u8]) -> u64 {
     debug_assert_eq!(data.len() % 2, 0);
-    let mut total: u64 = 0;
+    let mut acc: u64 = 0;
+    // Each wrap of `acc` drops 2^64, which is 1 modulo 0xffff: counting
+    // the wraps and adding them back is the end-around carry.
+    let mut carries: u64 = 0;
     let mut chunks = data.chunks_exact(8);
-    let mut lo: u64 = 0;
-    let mut hi: u64 = 0;
-    let mut in_block = 0usize;
     for chunk in &mut chunks {
-        let v = u64::from_be_bytes(chunk.try_into().expect("8-byte chunk"));
-        lo += v & LANE_MASK;
-        hi += (v >> 16) & LANE_MASK;
-        in_block += 1;
-        if in_block == SWAR_BLOCK_CHUNKS {
-            total += (lo & 0xffff_ffff) + (lo >> 32) + (hi & 0xffff_ffff) + (hi >> 32);
-            lo = 0;
-            hi = 0;
-            in_block = 0;
-        }
+        let (sum, wrapped) =
+            acc.overflowing_add(u64::from_ne_bytes(chunk.try_into().expect("8-byte chunk")));
+        acc = sum;
+        carries += u64::from(wrapped);
     }
-    total += (lo & 0xffff_ffff) + (lo >> 32) + (hi & 0xffff_ffff) + (hi >> 32);
+    let mut total = (acc & 0xffff_ffff) + (acc >> 32) + carries;
     for pair in chunks.remainder().chunks_exact(2) {
-        total += u64::from(u16::from_be_bytes([pair[0], pair[1]]));
+        total += u64::from(u16::from_ne_bytes([pair[0], pair[1]]));
     }
-    total
+    // The sum of native-endian words is the byte swap of the sum of
+    // big-endian words (RFC 1071 §2(B)); swap once, after folding.
+    u64::from((fold16(total) as u16).to_be())
 }
 
 /// Sum `data` (even length) as big-endian 16-bit words with the scalar
@@ -100,8 +100,8 @@ pub struct Checksum {
     /// Pending odd byte from a previous `push` whose slice had odd length.
     pending: Option<u8>,
     /// Kernel resolved once at construction: the process-wide `OnceLock`
-    /// load is an atomic op per call, which is measurable when every
-    /// simulated frame pushes its pseudo-header in 2-byte pieces.
+    /// load is an atomic op per call, which is measurable at one
+    /// accumulator per simulated frame.
     kernel: Kernel,
 }
 
@@ -141,7 +141,7 @@ impl Checksum {
         let even = chunks.len() & !1;
         let (body, tail) = chunks.split_at(even);
         self.sum += match kernel {
-            Kernel::Swar if body.len() >= SWAR_MIN_BYTES => sum_words_swar(body),
+            Kernel::Swar if body.len() >= WIDE_MIN_BYTES => sum_words_wide(body),
             _ => sum_words_scalar(body),
         };
         if let [last] = tail {
@@ -171,16 +171,31 @@ impl Checksum {
         }
     }
 
+    /// Add a big-endian `u128` (an IPv6 address) to the running sum.
+    #[inline]
+    pub fn push_u128(&mut self, v: u128) {
+        if self.pending.is_none() {
+            // 2^32 is 1 modulo 0xffff, so 32-bit halves sum like their
+            // 16-bit words; the total is zero only when `v` is.
+            for word in [
+                (v >> 96) as u32,
+                (v >> 64) as u32,
+                (v >> 32) as u32,
+                v as u32,
+            ] {
+                self.sum += u64::from(word);
+            }
+        } else {
+            self.push(&v.to_be_bytes());
+        }
+    }
+
     /// Fold carries and return the ones'-complement of the sum.
     pub fn finish(mut self) -> u16 {
         if let Some(hi) = self.pending.take() {
             self.sum += u64::from(u16::from_be_bytes([hi, 0]));
         }
-        let mut s = self.sum;
-        while s >> 16 != 0 {
-            s = (s & 0xffff) + (s >> 16);
-        }
-        !(s as u16)
+        !(fold16(self.sum) as u16)
     }
 }
 
@@ -201,9 +216,9 @@ pub fn checksum_with(kernel: Kernel, data: &[u8]) -> u16 {
 /// (RFC 768 / RFC 793): src, dst, zero+protocol, upper-layer length.
 pub fn pseudo_v4(src: Ipv4Addr, dst: Ipv4Addr, proto: u8, len: u16) -> Checksum {
     let mut c = Checksum::new();
-    c.push(&src.octets());
-    c.push(&dst.octets());
-    c.push(&[0, proto]);
+    c.push_u32(src.to_bits());
+    c.push_u32(dst.to_bits());
+    c.push_u16(u16::from(proto));
     c.push_u16(len);
     c
 }
@@ -211,10 +226,10 @@ pub fn pseudo_v4(src: Ipv4Addr, dst: Ipv4Addr, proto: u8, len: u16) -> Checksum 
 /// Start an accumulator pre-loaded with the IPv6 pseudo-header (RFC 8200 §8.1).
 pub fn pseudo_v6(src: Ipv6Addr, dst: Ipv6Addr, next_header: u8, len: u32) -> Checksum {
     let mut c = Checksum::new();
-    c.push(&src.octets());
-    c.push(&dst.octets());
+    c.push_u128(src.to_bits());
+    c.push_u128(dst.to_bits());
     c.push_u32(len);
-    c.push(&[0, 0, 0, next_header]);
+    c.push_u16(u16::from(next_header));
     c
 }
 
@@ -291,7 +306,7 @@ mod tests {
     #[test]
     fn kernels_agree_on_all_lengths() {
         // Every length 0..200 with varied content, including lengths around
-        // the SWAR threshold and non-multiple-of-8 tails.
+        // the wide-kernel threshold and non-multiple-of-8 tails.
         let data: Vec<u8> = (0..200u32)
             .map(|i| (i.wrapping_mul(37) ^ 0x5a) as u8)
             .collect();
@@ -306,7 +321,7 @@ mod tests {
 
     #[test]
     fn kernels_agree_on_saturating_content() {
-        // All-0xff content maximizes per-lane carries.
+        // All-0xff content carries on every wide add.
         let data = vec![0xffu8; 4096];
         assert_eq!(
             checksum_with(Kernel::Scalar, &data),
@@ -315,10 +330,9 @@ mod tests {
     }
 
     #[test]
-    fn swar_block_flush_is_exact() {
-        // Past one SWAR block (0xffff chunks = 524 280 bytes) the lane
-        // accumulators must flush without losing carries.
-        let data = vec![0xffu8; SWAR_BLOCK_CHUNKS * 8 + 16];
+    fn wide_kernel_survives_many_wraps() {
+        // 1 MiB of 0xff wraps the u64 accumulator on nearly every add.
+        let data = vec![0xffu8; 1 << 20];
         assert_eq!(
             checksum_with(Kernel::Scalar, &data),
             checksum_with(Kernel::Swar, &data)

@@ -67,11 +67,18 @@ impl EthernetFrame {
     /// Serialize to bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(Self::HEADER_LEN + self.payload.len());
-        out.extend_from_slice(&self.dst.0);
-        out.extend_from_slice(&self.src.0);
-        out.extend_from_slice(&self.ethertype.to_u16().to_be_bytes());
+        Self::write_header(&mut out, self.dst, self.src, self.ethertype);
         out.extend_from_slice(&self.payload);
         out
+    }
+
+    /// Append a 14-byte Ethernet II header to `out` — the first step of
+    /// the one-buffer frame encoders (`Ipv4Packet::encode_frame`,
+    /// `Ipv6Packet::encode_frame`, the `packet::build_*` helpers).
+    pub fn write_header(out: &mut Vec<u8>, dst: MacAddr, src: MacAddr, ethertype: EtherType) {
+        out.extend_from_slice(&dst.0);
+        out.extend_from_slice(&src.0);
+        out.extend_from_slice(&ethertype.to_u16().to_be_bytes());
     }
 
     /// True if addressed to `mac`, broadcast, or any group address

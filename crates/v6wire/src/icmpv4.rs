@@ -43,7 +43,24 @@ pub enum Icmpv4Message {
 impl Icmpv4Message {
     /// Serialize with checksum.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.write(&mut out);
+        out
+    }
+
+    /// Encoded length: the 8-byte header plus payload or invoking excerpt.
+    pub fn wire_len(&self) -> usize {
+        8 + match self {
+            Icmpv4Message::EchoRequest { payload, .. }
+            | Icmpv4Message::EchoReply { payload, .. } => payload.len(),
+            Icmpv4Message::DestinationUnreachable { invoking, .. }
+            | Icmpv4Message::TimeExceeded { invoking, .. } => invoking.len(),
+        }
+    }
+
+    /// Append to `out`, with the checksum patched in place.
+    pub fn write(&self, out: &mut Vec<u8>) {
+        let start = out.len();
         match self {
             Icmpv4Message::EchoRequest {
                 ident,
@@ -82,9 +99,8 @@ impl Icmpv4Message {
                 out.extend_from_slice(invoking);
             }
         }
-        let ck = checksum(&out);
-        out[2..4].copy_from_slice(&ck.to_be_bytes());
-        out
+        let ck = checksum(&out[start..]);
+        out[start + 2..start + 4].copy_from_slice(&ck.to_be_bytes());
     }
 }
 

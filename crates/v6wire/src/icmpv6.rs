@@ -5,7 +5,7 @@
 
 use crate::checksum::pseudo_v6;
 use crate::ndp::{
-    NeighborAdvertisement, NeighborSolicitation, RouterAdvertisement, RouterSolicitation,
+    NdpOption, NeighborAdvertisement, NeighborSolicitation, RouterAdvertisement, RouterSolicitation,
 };
 use std::net::Ipv6Addr;
 
@@ -50,7 +50,29 @@ pub enum Icmpv6Message {
 impl Icmpv6Message {
     /// Serialize with the pseudo-header checksum for `src`→`dst`.
     pub fn encode(&self, src: Ipv6Addr, dst: Ipv6Addr) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.write(&mut out, src, dst);
+        out
+    }
+
+    /// Encoded length, options included.
+    pub fn wire_len(&self) -> usize {
+        let options = |opts: &[NdpOption]| opts.iter().map(NdpOption::wire_len).sum::<usize>();
+        match self {
+            Icmpv6Message::DestinationUnreachable { invoking, .. } => 8 + invoking.len(),
+            Icmpv6Message::EchoRequest { payload, .. }
+            | Icmpv6Message::EchoReply { payload, .. } => 8 + payload.len(),
+            Icmpv6Message::RouterSolicitation(rs) => 8 + options(&rs.options),
+            Icmpv6Message::RouterAdvertisement(ra) => 16 + options(&ra.options),
+            Icmpv6Message::NeighborSolicitation(ns) => 24 + options(&ns.options),
+            Icmpv6Message::NeighborAdvertisement(na) => 24 + options(&na.options),
+        }
+    }
+
+    /// Append to `out` with the pseudo-header checksum for `src`→`dst`,
+    /// patched in place.
+    pub fn write(&self, out: &mut Vec<u8>, src: Ipv6Addr, dst: Ipv6Addr) {
+        let start = out.len();
         match self {
             Icmpv6Message::DestinationUnreachable { code, invoking } => {
                 out.extend_from_slice(&[1, *code, 0, 0, 0, 0, 0, 0]);
@@ -79,18 +101,18 @@ impl Icmpv6Message {
             Icmpv6Message::RouterSolicitation(rs) => {
                 out.extend_from_slice(&[133, 0, 0, 0, 0, 0, 0, 0]);
                 for opt in &rs.options {
-                    opt.encode(&mut out);
+                    opt.encode(out);
                 }
             }
             Icmpv6Message::RouterAdvertisement(ra) => {
                 out.extend_from_slice(&[134, 0, 0, 0]);
-                ra.encode_body(&mut out);
+                ra.encode_body(out);
             }
             Icmpv6Message::NeighborSolicitation(ns) => {
                 out.extend_from_slice(&[135, 0, 0, 0, 0, 0, 0, 0]);
                 out.extend_from_slice(&ns.target.octets());
                 for opt in &ns.options {
-                    opt.encode(&mut out);
+                    opt.encode(out);
                 }
             }
             Icmpv6Message::NeighborAdvertisement(na) => {
@@ -109,15 +131,14 @@ impl Icmpv6Message {
                 out.extend_from_slice(&[0, 0, 0]);
                 out.extend_from_slice(&na.target.octets());
                 for opt in &na.options {
-                    opt.encode(&mut out);
+                    opt.encode(out);
                 }
             }
         }
-        let mut ck = pseudo_v6(src, dst, crate::ipv4::proto::ICMPV6, out.len() as u32);
-        ck.push(&out);
-        let sum = ck.finish();
-        out[2..4].copy_from_slice(&sum.to_be_bytes());
-        out
+        let len = out.len() - start;
+        let mut ck = pseudo_v6(src, dst, crate::ipv4::proto::ICMPV6, len as u32);
+        ck.push(&out[start..]);
+        out[start + 2..start + 4].copy_from_slice(&ck.finish().to_be_bytes());
     }
 }
 

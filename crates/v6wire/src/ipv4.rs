@@ -2,6 +2,8 @@
 //! Parsing is [`crate::view::Ipv4View`].
 
 use crate::checksum::checksum;
+use crate::ethernet::{EtherType, EthernetFrame};
+use crate::mac::MacAddr;
 use std::net::Ipv4Addr;
 
 /// IP protocol numbers shared by IPv4's `protocol` and IPv6's `next header`.
@@ -61,8 +63,30 @@ impl Ipv4Packet {
 
     /// Serialize to bytes, computing the header checksum.
     pub fn encode(&self) -> Vec<u8> {
-        let total_len = (Self::HEADER_LEN + self.payload.len()) as u16;
-        let mut out = Vec::with_capacity(total_len as usize);
+        let mut out = Vec::with_capacity(Self::HEADER_LEN + self.payload.len());
+        self.write_header(&mut out, self.payload.len());
+        out.extend_from_slice(&self.payload);
+        out
+    }
+
+    /// Serialize as a complete Ethernet frame into one exact-capacity
+    /// buffer: the same bytes as wrapping [`Ipv4Packet::encode`] in an
+    /// [`EthernetFrame`], without the intermediate packet buffer.
+    pub fn encode_frame(&self, dst_mac: MacAddr, src_mac: MacAddr) -> Vec<u8> {
+        let mut out =
+            Vec::with_capacity(EthernetFrame::HEADER_LEN + Self::HEADER_LEN + self.payload.len());
+        EthernetFrame::write_header(&mut out, dst_mac, src_mac, EtherType::Ipv4);
+        self.write_header(&mut out, self.payload.len());
+        out.extend_from_slice(&self.payload);
+        out
+    }
+
+    /// Append the 20-byte header, checksummed, for a payload of
+    /// `payload_len` bytes (the caller appends the payload itself, so
+    /// `self.payload` is not read).
+    pub fn write_header(&self, out: &mut Vec<u8>, payload_len: usize) {
+        let start = out.len();
+        let total_len = (Self::HEADER_LEN + payload_len) as u16;
         out.push(0x45); // version 4, IHL 5
         out.push(self.dscp_ecn);
         out.extend_from_slice(&total_len.to_be_bytes());
@@ -74,10 +98,8 @@ impl Ipv4Packet {
         out.extend_from_slice(&[0, 0]); // checksum placeholder
         out.extend_from_slice(&self.src.octets());
         out.extend_from_slice(&self.dst.octets());
-        let ck = checksum(&out[..Self::HEADER_LEN]);
-        out[10..12].copy_from_slice(&ck.to_be_bytes());
-        out.extend_from_slice(&self.payload);
-        out
+        let ck = checksum(&out[start..]);
+        out[start + 10..start + 12].copy_from_slice(&ck.to_be_bytes());
     }
 
     /// Copy with TTL decremented (router forwarding). Returns `None` when the

@@ -1,6 +1,8 @@
 //! IPv6 (RFC 8200) packets and their encoder. Parsing is
 //! [`crate::view::Ipv6View`].
 
+use crate::ethernet::{EtherType, EthernetFrame};
+use crate::mac::MacAddr;
 use std::net::Ipv6Addr;
 
 /// An IPv6 packet. Extension headers other than the payload protocol
@@ -44,16 +46,35 @@ impl Ipv6Packet {
     /// Serialize to bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(Self::HEADER_LEN + self.payload.len());
+        self.write_header(&mut out, self.payload.len());
+        out.extend_from_slice(&self.payload);
+        out
+    }
+
+    /// Serialize as a complete Ethernet frame into one exact-capacity
+    /// buffer: the same bytes as wrapping [`Ipv6Packet::encode`] in an
+    /// [`EthernetFrame`], without the intermediate packet buffer.
+    pub fn encode_frame(&self, dst_mac: MacAddr, src_mac: MacAddr) -> Vec<u8> {
+        let mut out =
+            Vec::with_capacity(EthernetFrame::HEADER_LEN + Self::HEADER_LEN + self.payload.len());
+        EthernetFrame::write_header(&mut out, dst_mac, src_mac, EtherType::Ipv6);
+        self.write_header(&mut out, self.payload.len());
+        out.extend_from_slice(&self.payload);
+        out
+    }
+
+    /// Append the 40-byte header for a payload of `payload_len` bytes
+    /// (the caller appends the payload itself, so `self.payload` is not
+    /// read).
+    pub fn write_header(&self, out: &mut Vec<u8>, payload_len: usize) {
         let vtcfl: u32 =
             (6u32 << 28) | (u32::from(self.traffic_class) << 20) | (self.flow_label & 0xfffff);
         out.extend_from_slice(&vtcfl.to_be_bytes());
-        out.extend_from_slice(&(self.payload.len() as u16).to_be_bytes());
+        out.extend_from_slice(&(payload_len as u16).to_be_bytes());
         out.push(self.next_header);
         out.push(self.hop_limit);
         out.extend_from_slice(&self.src.octets());
         out.extend_from_slice(&self.dst.octets());
-        out.extend_from_slice(&self.payload);
-        out
     }
 
     /// Copy with hop limit decremented; `None` when it would hit zero.

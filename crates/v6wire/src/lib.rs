@@ -10,7 +10,7 @@
 //! * ICMPv4 ([`icmpv4`]) and ICMPv6 including the full NDP message set with
 //!   PIO / RDNSS / DNSSL / MTU options ([`icmpv6`], [`ndp`])
 //! * The internet checksum and v4/v6 pseudo-headers ([`checksum`]), with a
-//!   runtime-dispatched scalar/SWAR kernel pair
+//!   runtime-dispatched scalar/wide kernel pair
 //! * The parser: borrowed zero-copy frame views ([`view`]), pinned by
 //!   `tests/conformance.rs`
 //!

@@ -106,7 +106,30 @@ fn encode_labels(out: &mut Vec<u8>, name: &str) {
     out.push(0);
 }
 
+/// Length of [`encode_labels`]' output for `name`.
+fn labels_len(name: &str) -> usize {
+    name.split('.')
+        .filter(|l| !l.is_empty())
+        .map(|l| 1 + l.len().min(63))
+        .sum::<usize>()
+        + 1
+}
+
 impl NdpOption {
+    /// Encoded length in bytes (a multiple of 8), padding included.
+    pub fn wire_len(&self) -> usize {
+        match self {
+            NdpOption::SourceLinkLayer(_) | NdpOption::TargetLinkLayer(_) | NdpOption::Mtu(_) => 8,
+            NdpOption::PrefixInformation { .. } => 32,
+            NdpOption::Rdnss { servers, .. } => 8 + 16 * servers.len(),
+            NdpOption::Dnssl { domains, .. } => {
+                (8 + domains.iter().map(|d| labels_len(d)).sum::<usize>()).next_multiple_of(8)
+            }
+            NdpOption::Pref64 { .. } => 16,
+            NdpOption::Unknown(_, data) => (2 + data.len()).next_multiple_of(8),
+        }
+    }
+
     /// Serialize (type, length-in-8-octet-units, body, padding).
     pub fn encode(&self, out: &mut Vec<u8>) {
         let start = out.len();

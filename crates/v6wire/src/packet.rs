@@ -2,7 +2,8 @@
 //!
 //! The simulator moves raw `Vec<u8>` Ethernet frames; devices parse them with
 //! [`FrameView::parse`] down to L4 in one call and emit complete frames with
-//! the `build_*` helpers. [`ParsedFrame`] is the owned materialisation of a
+//! the `build_*` helpers, which write Ethernet, IP and transport headers
+//! into one exact-capacity buffer and patch each checksum in place. [`ParsedFrame`] is the owned materialisation of a
 //! view ([`FrameView::to_parsed`]).
 
 use crate::arp::ArpPacket;
@@ -75,6 +76,41 @@ impl ParsedFrame {
     }
 }
 
+/// Write Ethernet, the IPv4 header of `ip` and an `l4_len`-byte transport
+/// payload (appended by `write_l4`) into one exact-capacity buffer.
+fn frame_v4(
+    src_mac: MacAddr,
+    dst_mac: MacAddr,
+    ip: &Ipv4Packet,
+    l4_len: usize,
+    write_l4: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let len = EthernetFrame::HEADER_LEN + Ipv4Packet::HEADER_LEN + l4_len;
+    let mut out = Vec::with_capacity(len);
+    EthernetFrame::write_header(&mut out, dst_mac, src_mac, EtherType::Ipv4);
+    ip.write_header(&mut out, l4_len);
+    write_l4(&mut out);
+    debug_assert_eq!(out.len(), len, "transport wire_len disagrees with write");
+    out
+}
+
+/// The IPv6 counterpart of [`frame_v4`].
+fn frame_v6(
+    src_mac: MacAddr,
+    dst_mac: MacAddr,
+    ip: &Ipv6Packet,
+    l4_len: usize,
+    write_l4: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let len = EthernetFrame::HEADER_LEN + Ipv6Packet::HEADER_LEN + l4_len;
+    let mut out = Vec::with_capacity(len);
+    EthernetFrame::write_header(&mut out, dst_mac, src_mac, EtherType::Ipv6);
+    ip.write_header(&mut out, l4_len);
+    write_l4(&mut out);
+    debug_assert_eq!(out.len(), len, "transport wire_len disagrees with write");
+    out
+}
+
 /// Build a complete Ethernet/IPv4/UDP frame.
 pub fn build_udp_v4(
     src_mac: MacAddr,
@@ -83,8 +119,10 @@ pub fn build_udp_v4(
     dst: Ipv4Addr,
     dgram: &UdpDatagram,
 ) -> Vec<u8> {
-    let ip = Ipv4Packet::new(src, dst, proto::UDP, dgram.encode_v4(src, dst));
-    EthernetFrame::new(dst_mac, src_mac, EtherType::Ipv4, ip.encode()).encode()
+    let ip = Ipv4Packet::new(src, dst, proto::UDP, Vec::new());
+    frame_v4(src_mac, dst_mac, &ip, dgram.wire_len(), |out| {
+        dgram.write_v4(out, src, dst)
+    })
 }
 
 /// Build a complete Ethernet/IPv6/UDP frame.
@@ -95,8 +133,10 @@ pub fn build_udp_v6(
     dst: Ipv6Addr,
     dgram: &UdpDatagram,
 ) -> Vec<u8> {
-    let ip = Ipv6Packet::new(src, dst, proto::UDP, dgram.encode_v6(src, dst));
-    EthernetFrame::new(dst_mac, src_mac, EtherType::Ipv6, ip.encode()).encode()
+    let ip = Ipv6Packet::new(src, dst, proto::UDP, Vec::new());
+    frame_v6(src_mac, dst_mac, &ip, dgram.wire_len(), |out| {
+        dgram.write_v6(out, src, dst)
+    })
 }
 
 /// Build a complete Ethernet/IPv4/TCP frame.
@@ -107,8 +147,10 @@ pub fn build_tcp_v4(
     dst: Ipv4Addr,
     seg: &TcpSegment,
 ) -> Vec<u8> {
-    let ip = Ipv4Packet::new(src, dst, proto::TCP, seg.encode_v4(src, dst));
-    EthernetFrame::new(dst_mac, src_mac, EtherType::Ipv4, ip.encode()).encode()
+    let ip = Ipv4Packet::new(src, dst, proto::TCP, Vec::new());
+    frame_v4(src_mac, dst_mac, &ip, seg.wire_len(), |out| {
+        seg.write_v4(out, src, dst)
+    })
 }
 
 /// Build a complete Ethernet/IPv6/TCP frame.
@@ -119,8 +161,10 @@ pub fn build_tcp_v6(
     dst: Ipv6Addr,
     seg: &TcpSegment,
 ) -> Vec<u8> {
-    let ip = Ipv6Packet::new(src, dst, proto::TCP, seg.encode_v6(src, dst));
-    EthernetFrame::new(dst_mac, src_mac, EtherType::Ipv6, ip.encode()).encode()
+    let ip = Ipv6Packet::new(src, dst, proto::TCP, Vec::new());
+    frame_v6(src_mac, dst_mac, &ip, seg.wire_len(), |out| {
+        seg.write_v6(out, src, dst)
+    })
 }
 
 /// Build a complete Ethernet/IPv6/ICMPv6 frame (hop limit 255 for NDP, as
@@ -132,7 +176,7 @@ pub fn build_icmpv6(
     dst: Ipv6Addr,
     msg: &Icmpv6Message,
 ) -> Vec<u8> {
-    let mut ip = Ipv6Packet::new(src, dst, proto::ICMPV6, msg.encode(src, dst));
+    let mut ip = Ipv6Packet::new(src, dst, proto::ICMPV6, Vec::new());
     if matches!(
         msg,
         Icmpv6Message::RouterSolicitation(_)
@@ -142,7 +186,9 @@ pub fn build_icmpv6(
     ) {
         ip.hop_limit = 255;
     }
-    EthernetFrame::new(dst_mac, src_mac, EtherType::Ipv6, ip.encode()).encode()
+    frame_v6(src_mac, dst_mac, &ip, msg.wire_len(), |out| {
+        msg.write(out, src, dst)
+    })
 }
 
 /// Build a complete Ethernet/IPv4/ICMPv4 frame.
@@ -153,13 +199,16 @@ pub fn build_icmpv4(
     dst: Ipv4Addr,
     msg: &Icmpv4Message,
 ) -> Vec<u8> {
-    let ip = Ipv4Packet::new(src, dst, proto::ICMP, msg.encode());
-    EthernetFrame::new(dst_mac, src_mac, EtherType::Ipv4, ip.encode()).encode()
+    let ip = Ipv4Packet::new(src, dst, proto::ICMP, Vec::new());
+    frame_v4(src_mac, dst_mac, &ip, msg.wire_len(), |out| msg.write(out))
 }
 
 /// Build an Ethernet/ARP frame (broadcast for requests, unicast for replies).
 pub fn build_arp(src_mac: MacAddr, dst_mac: MacAddr, arp: &ArpPacket) -> Vec<u8> {
-    EthernetFrame::new(dst_mac, src_mac, EtherType::Arp, arp.encode()).encode()
+    let mut out = Vec::with_capacity(EthernetFrame::HEADER_LEN + ArpPacket::LEN);
+    EthernetFrame::write_header(&mut out, dst_mac, src_mac, EtherType::Arp);
+    arp.write(&mut out);
+    out
 }
 
 /// One-line human-readable summary of a frame for trace tooling:
@@ -295,6 +344,133 @@ mod tests {
 
     fn mac(n: u8) -> MacAddr {
         MacAddr::new([2, 0, 0, 0, 0, n])
+    }
+
+    /// The one-pass builders write exactly the bytes of the layered
+    /// encoders — L4 `encode_*`, then `Ipv*Packet::encode`, then
+    /// `EthernetFrame::encode` — in a buffer of exactly that length.
+    #[test]
+    fn one_pass_builders_match_layered_encoding() {
+        use crate::ndp::{NdpOption, NeighborAdvertisement, RouterSolicitation};
+        let (s4, d4): (Ipv4Addr, Ipv4Addr) = (
+            "192.168.12.50".parse().unwrap(),
+            "23.153.8.71".parse().unwrap(),
+        );
+        let (s6, d6): (Ipv6Addr, Ipv6Addr) = (
+            "fd00:976a::50".parse().unwrap(),
+            "64:ff9b::be5c:9e04".parse().unwrap(),
+        );
+        let eth = |ty, payload| EthernetFrame::new(mac(2), mac(1), ty, payload).encode();
+        let exact = |frame: Vec<u8>, layered: Vec<u8>| {
+            assert_eq!(frame.capacity(), frame.len(), "exact capacity");
+            assert_eq!(frame, layered);
+        };
+
+        let d = UdpDatagram::new(5353, 53, b"odd-length".to_vec());
+        let v4 = Ipv4Packet::new(s4, d4, proto::UDP, d.encode_v4(s4, d4));
+        exact(
+            build_udp_v4(mac(1), mac(2), s4, d4, &d),
+            eth(EtherType::Ipv4, v4.encode()),
+        );
+        exact(
+            v4.encode_frame(mac(2), mac(1)),
+            eth(EtherType::Ipv4, v4.encode()),
+        );
+        let v6 = Ipv6Packet::new(s6, d6, proto::UDP, d.encode_v6(s6, d6));
+        exact(
+            build_udp_v6(mac(1), mac(2), s6, d6, &d),
+            eth(EtherType::Ipv6, v6.encode()),
+        );
+        exact(
+            v6.encode_frame(mac(2), mac(1)),
+            eth(EtherType::Ipv6, v6.encode()),
+        );
+
+        let mut seg = TcpSegment::new(40000, 80, 7, 9, TcpFlags::SYN);
+        seg.mss = Some(1220);
+        seg.payload = b"GET / HTTP/1.1".to_vec();
+        let v4 = Ipv4Packet::new(s4, d4, proto::TCP, seg.encode_v4(s4, d4));
+        exact(
+            build_tcp_v4(mac(1), mac(2), s4, d4, &seg),
+            eth(EtherType::Ipv4, v4.encode()),
+        );
+        let v6 = Ipv6Packet::new(s6, d6, proto::TCP, seg.encode_v6(s6, d6));
+        exact(
+            build_tcp_v6(mac(1), mac(2), s6, d6, &seg),
+            eth(EtherType::Ipv6, v6.encode()),
+        );
+
+        let echo = Icmpv4Message::EchoRequest {
+            ident: 1,
+            seq: 2,
+            payload: vec![0xab; 5],
+        };
+        let v4 = Ipv4Packet::new(s4, d4, proto::ICMP, echo.encode());
+        exact(
+            build_icmpv4(mac(1), mac(2), s4, d4, &echo),
+            eth(EtherType::Ipv4, v4.encode()),
+        );
+
+        let mut ra = crate::ndp::RouterAdvertisement::new(1800);
+        ra.options = vec![
+            NdpOption::SourceLinkLayer(mac(1)),
+            NdpOption::Mtu(1500),
+            NdpOption::Rdnss {
+                lifetime: 60,
+                servers: vec![s6, d6],
+            },
+            NdpOption::Dnssl {
+                lifetime: 60,
+                domains: vec!["rfc8925.com".into(), "a.b.".into()],
+            },
+            NdpOption::Pref64 {
+                lifetime: 1800,
+                prefix: d6,
+                prefix_len: 96,
+            },
+            NdpOption::Unknown(200, vec![1, 2, 3, 4, 5, 6]),
+            NdpOption::Unknown(201, vec![7]),
+        ];
+        let messages = [
+            Icmpv6Message::RouterAdvertisement(ra),
+            Icmpv6Message::RouterSolicitation(RouterSolicitation::default()),
+            Icmpv6Message::NeighborAdvertisement(NeighborAdvertisement {
+                router: true,
+                solicited: true,
+                override_flag: false,
+                target: s6,
+                options: vec![NdpOption::TargetLinkLayer(mac(1))],
+            }),
+            Icmpv6Message::DestinationUnreachable {
+                code: 4,
+                invoking: vec![0x60; 48],
+            },
+            Icmpv6Message::EchoReply {
+                ident: 3,
+                seq: 4,
+                payload: vec![1; 3],
+            },
+        ];
+        for msg in &messages {
+            assert_eq!(msg.wire_len(), msg.encode(s6, d6).len(), "{msg:?}");
+            let mut v6 = Ipv6Packet::new(s6, d6, proto::ICMPV6, msg.encode(s6, d6));
+            if !matches!(
+                msg,
+                Icmpv6Message::DestinationUnreachable { .. } | Icmpv6Message::EchoReply { .. }
+            ) {
+                v6.hop_limit = 255;
+            }
+            exact(
+                build_icmpv6(mac(1), mac(2), s6, d6, msg),
+                eth(EtherType::Ipv6, v6.encode()),
+            );
+        }
+
+        let arp = ArpPacket::request(mac(1), s4, d4);
+        exact(
+            build_arp(mac(1), mac(2), &arp),
+            eth(EtherType::Arp, arp.encode()),
+        );
     }
 
     #[test]

@@ -130,10 +130,23 @@ impl TcpSegment {
         }
     }
 
-    fn encode_raw(&self) -> Vec<u8> {
-        let opts_len = if self.mss.is_some() { 4 } else { 0 };
-        let data_off = (Self::HEADER_LEN + opts_len) / 4;
-        let mut out = Vec::with_capacity(Self::HEADER_LEN + opts_len + self.payload.len());
+    /// Encoded length: header, MSS option if any, and payload.
+    pub fn wire_len(&self) -> usize {
+        Self::HEADER_LEN + self.options_len() + self.payload.len()
+    }
+
+    fn options_len(&self) -> usize {
+        if self.mss.is_some() {
+            4
+        } else {
+            0
+        }
+    }
+
+    /// Append the segment (checksum zeroed); returns its offset in `out`.
+    fn write_raw(&self, out: &mut Vec<u8>) -> usize {
+        let start = out.len();
+        let data_off = (Self::HEADER_LEN + self.options_len()) / 4;
         out.extend_from_slice(&self.src_port.to_be_bytes());
         out.extend_from_slice(&self.dst_port.to_be_bytes());
         out.extend_from_slice(&self.seq.to_be_bytes());
@@ -149,27 +162,39 @@ impl TcpSegment {
             out.extend_from_slice(&mss.to_be_bytes());
         }
         out.extend_from_slice(&self.payload);
-        out
+        start
     }
 
     /// Serialize with an IPv4 pseudo-header checksum.
     pub fn encode_v4(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
-        let mut out = self.encode_raw();
-        let mut ck = pseudo_v4(src, dst, crate::ipv4::proto::TCP, out.len() as u16);
-        ck.push(&out);
-        let sum = ck.finish();
-        out[16..18].copy_from_slice(&sum.to_be_bytes());
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.write_v4(&mut out, src, dst);
         out
     }
 
     /// Serialize with an IPv6 pseudo-header checksum.
     pub fn encode_v6(&self, src: Ipv6Addr, dst: Ipv6Addr) -> Vec<u8> {
-        let mut out = self.encode_raw();
-        let mut ck = pseudo_v6(src, dst, crate::ipv4::proto::TCP, out.len() as u32);
-        ck.push(&out);
-        let sum = ck.finish();
-        out[16..18].copy_from_slice(&sum.to_be_bytes());
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.write_v6(&mut out, src, dst);
         out
+    }
+
+    /// Append to `out` with an IPv4 pseudo-header checksum, patched in
+    /// place.
+    pub fn write_v4(&self, out: &mut Vec<u8>, src: Ipv4Addr, dst: Ipv4Addr) {
+        let start = self.write_raw(out);
+        let mut ck = pseudo_v4(src, dst, crate::ipv4::proto::TCP, self.wire_len() as u16);
+        ck.push(&out[start..]);
+        out[start + 16..start + 18].copy_from_slice(&ck.finish().to_be_bytes());
+    }
+
+    /// Append to `out` with an IPv6 pseudo-header checksum, patched in
+    /// place.
+    pub fn write_v6(&self, out: &mut Vec<u8>, src: Ipv6Addr, dst: Ipv6Addr) {
+        let start = self.write_raw(out);
+        let mut ck = pseudo_v6(src, dst, crate::ipv4::proto::TCP, self.wire_len() as u32);
+        ck.push(&out[start..]);
+        out[start + 16..start + 18].copy_from_slice(&ck.finish().to_be_bytes());
     }
 
     /// The amount of sequence space this segment consumes (SYN and FIN each

@@ -40,41 +40,60 @@ impl UdpDatagram {
         }
     }
 
-    fn encode_raw(&self) -> Vec<u8> {
-        let len = (Self::HEADER_LEN + self.payload.len()) as u16;
-        let mut out = Vec::with_capacity(len as usize);
+    /// Encoded length: header plus payload.
+    pub fn wire_len(&self) -> usize {
+        Self::HEADER_LEN + self.payload.len()
+    }
+
+    /// Append header (checksum zeroed) and payload; returns the offset of
+    /// the datagram within `out`.
+    fn write_raw(&self, out: &mut Vec<u8>) -> usize {
+        let start = out.len();
         out.extend_from_slice(&self.src_port.to_be_bytes());
         out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&len.to_be_bytes());
+        out.extend_from_slice(&(self.wire_len() as u16).to_be_bytes());
         out.extend_from_slice(&[0, 0]);
         out.extend_from_slice(&self.payload);
-        out
+        start
+    }
+
+    /// Patch the finished checksum into the datagram at `start`.
+    fn patch_checksum(out: &mut [u8], start: usize, sum: u16) {
+        // RFC 768: transmitted all-ones when computed zero.
+        let sum = if sum == 0 { 0xffff } else { sum };
+        out[start + 6..start + 8].copy_from_slice(&sum.to_be_bytes());
     }
 
     /// Serialize with an IPv4 pseudo-header checksum.
     pub fn encode_v4(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
-        let mut out = self.encode_raw();
-        let mut ck = pseudo_v4(src, dst, crate::ipv4::proto::UDP, out.len() as u16);
-        ck.push(&out);
-        let mut sum = ck.finish();
-        if sum == 0 {
-            sum = 0xffff; // RFC 768: transmitted all-ones when computed zero
-        }
-        out[6..8].copy_from_slice(&sum.to_be_bytes());
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.write_v4(&mut out, src, dst);
         out
     }
 
     /// Serialize with an IPv6 pseudo-header checksum.
     pub fn encode_v6(&self, src: Ipv6Addr, dst: Ipv6Addr) -> Vec<u8> {
-        let mut out = self.encode_raw();
-        let mut ck = pseudo_v6(src, dst, crate::ipv4::proto::UDP, out.len() as u32);
-        ck.push(&out);
-        let mut sum = ck.finish();
-        if sum == 0 {
-            sum = 0xffff;
-        }
-        out[6..8].copy_from_slice(&sum.to_be_bytes());
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.write_v6(&mut out, src, dst);
         out
+    }
+
+    /// Append to `out` with an IPv4 pseudo-header checksum, patched in
+    /// place.
+    pub fn write_v4(&self, out: &mut Vec<u8>, src: Ipv4Addr, dst: Ipv4Addr) {
+        let start = self.write_raw(out);
+        let mut ck = pseudo_v4(src, dst, crate::ipv4::proto::UDP, self.wire_len() as u16);
+        ck.push(&out[start..]);
+        Self::patch_checksum(out, start, ck.finish());
+    }
+
+    /// Append to `out` with an IPv6 pseudo-header checksum, patched in
+    /// place.
+    pub fn write_v6(&self, out: &mut Vec<u8>, src: Ipv6Addr, dst: Ipv6Addr) {
+        let start = self.write_raw(out);
+        let mut ck = pseudo_v6(src, dst, crate::ipv4::proto::UDP, self.wire_len() as u32);
+        ck.push(&out[start..]);
+        Self::patch_checksum(out, start, ck.finish());
     }
 }
 

@@ -16,10 +16,13 @@
 //!    built through the owned builders, parse and rebuild to the same bytes.
 //! 3. **Pinned trace text** — `summarize`/`classify` of each corpus frame.
 //! 4. **No panics, equal checksum kernels** — arbitrary bytes never panic
-//!    the parser, and scalar and SWAR checksums agree everywhere.
+//!    the parser, the scalar and wide checksum kernels agree everywhere
+//!    (carry-heavy spans at every alignment included), and the word-summed
+//!    pseudo-headers equal a byte-slice sum.
 
 use proptest::prelude::*;
-use v6wire::checksum::{checksum_with, Kernel};
+use std::net::{Ipv4Addr, Ipv6Addr};
+use v6wire::checksum::{checksum_with, pseudo_v4, pseudo_v6, Kernel};
 use v6wire::icmpv6::all_nodes;
 use v6wire::ipv4::proto;
 use v6wire::mac::MacAddr;
@@ -392,7 +395,7 @@ fn corpus_checksum_kernels_agree() {
     for pin in CORPUS {
         let raw = pin.raw;
         // Whole frame, every prefix, every suffix: exercises all alignments
-        // and the scalar tail of the SWAR path.
+        // and the word tail of the wide kernel.
         for cut in 0..=raw.len() {
             assert_eq!(
                 checksum_with(Kernel::Scalar, &raw[..cut]),
@@ -406,6 +409,123 @@ fn corpus_checksum_kernels_agree() {
                 "{}: suffix {cut}",
                 pin.name
             );
+        }
+    }
+}
+
+/// The plain (unfolded) sum of `data` as big-endian 16-bit words, a
+/// trailing odd byte padded with zero — the RFC 1071 definition, written
+/// independently of `v6wire::checksum`.
+fn be_word_sum(data: &[u8]) -> u64 {
+    data.chunks(2)
+        .map(|w| u64::from(w[0]) << 8 | u64::from(w.get(1).copied().unwrap_or(0)))
+        .sum()
+}
+
+/// A `len`-byte span whose big-endian word sum is a nonzero multiple of
+/// 0xffff: its checksum is 0x0000, the case an end-around-carry kernel
+/// must not confuse with the all-zero span's 0xffff. Needs `len >= 2`.
+fn span_summing_to_multiple_of_ffff(len: usize) -> Vec<u8> {
+    let mut span: Vec<u8> = (0..len)
+        .map(|i| (i as u8).wrapping_mul(0x9d) ^ 0xa7)
+        .collect();
+    span[0] = 0;
+    span[1] = 0;
+    let fix = 0xffff - be_word_sum(&span) % 0xffff;
+    span[..2].copy_from_slice(&(fix as u16).to_be_bytes());
+    span
+}
+
+#[test]
+fn wide_kernel_matches_scalar_at_every_offset_and_length() {
+    let mut backing = [0u8; 8 + 8 + 96];
+    let base = backing.as_ptr().align_offset(8);
+    for len in 0..=96usize {
+        let mut inputs = vec![("all-0xff", vec![0xffu8; len]), ("zero", vec![0u8; len])];
+        if len >= 2 {
+            let span = span_summing_to_multiple_of_ffff(len);
+            let sum = be_word_sum(&span);
+            assert!(
+                sum > 0 && sum.is_multiple_of(0xffff),
+                "len {len}: sum {sum:#x}"
+            );
+            inputs.push(("multiple-of-0xffff", span));
+        }
+        for (what, input) in &inputs {
+            for offset in 0..8 {
+                let at = base + offset;
+                backing[at..at + len].copy_from_slice(input);
+                let span = &backing[at..at + len];
+                let scalar = checksum_with(Kernel::Scalar, span);
+                assert_eq!(
+                    checksum_with(Kernel::Swar, span),
+                    scalar,
+                    "{what}: len {len}, offset {offset}"
+                );
+                if *what == "multiple-of-0xffff" {
+                    assert_eq!(scalar, 0, "len {len}");
+                }
+                if *what == "zero" {
+                    assert_eq!(scalar, 0xffff, "len {len}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn pseudo_headers_match_a_byte_slice_sum() {
+    let v4s: [Ipv4Addr; 4] = [
+        Ipv4Addr::UNSPECIFIED,
+        Ipv4Addr::BROADCAST,
+        "192.168.12.50".parse().unwrap(),
+        "23.153.8.71".parse().unwrap(),
+    ];
+    let v6s: [Ipv6Addr; 4] = [
+        Ipv6Addr::UNSPECIFIED,
+        Ipv6Addr::from_bits(u128::MAX),
+        "fd00:976a::9".parse().unwrap(),
+        "64:ff9b::be5c:9e04".parse().unwrap(),
+    ];
+    let payload = span_summing_to_multiple_of_ffff(31);
+    for (i, (&s4, &s6)) in v4s.iter().zip(&v6s).enumerate() {
+        for (&d4, &d6) in v4s.iter().zip(&v6s) {
+            for (proto, len) in [
+                (proto::UDP, 0u16),
+                (proto::TCP, 0xffff),
+                (proto::ICMPV6, 31),
+            ] {
+                let mut bytes = Vec::new();
+                bytes.extend_from_slice(&s4.octets());
+                bytes.extend_from_slice(&d4.octets());
+                bytes.extend_from_slice(&[0, proto]);
+                bytes.extend_from_slice(&len.to_be_bytes());
+                assert_eq!(
+                    pseudo_v4(s4, d4, proto, len).finish(),
+                    checksum_with(Kernel::Scalar, &bytes),
+                    "v4 pair {i}, proto {proto}, len {len}"
+                );
+                let mut c = pseudo_v4(s4, d4, proto, len);
+                c.push(&payload);
+                bytes.extend_from_slice(&payload);
+                assert_eq!(c.finish(), checksum_with(Kernel::Scalar, &bytes));
+
+                let len = u32::from(len) << 8 | u32::from(len);
+                let mut bytes = Vec::new();
+                bytes.extend_from_slice(&s6.octets());
+                bytes.extend_from_slice(&d6.octets());
+                bytes.extend_from_slice(&len.to_be_bytes());
+                bytes.extend_from_slice(&[0, 0, 0, proto]);
+                assert_eq!(
+                    pseudo_v6(s6, d6, proto, len).finish(),
+                    checksum_with(Kernel::Scalar, &bytes),
+                    "v6 pair {i}, proto {proto}, len {len}"
+                );
+                let mut c = pseudo_v6(s6, d6, proto, len);
+                c.push(&payload);
+                bytes.extend_from_slice(&payload);
+                assert_eq!(c.finish(), checksum_with(Kernel::Scalar, &bytes));
+            }
         }
     }
 }

@@ -10,7 +10,9 @@
 //! # A quick look at the default mix:
 //! cargo run --release --example population_census -- --size 20000
 //!
-//! # Warm-vs-cold arena differential (also `just warm-bench`):
+//! # Warm-vs-cold arena differential (also `just warm-bench`); exits
+//! # non-zero unless warm x1 beats cold and, on >= 2 cores with
+//! # --threads >= 2, warm xN beats warm x1:
 //! cargo run --release --example population_census -- --size 50000 --warm-bench
 //! ```
 //!
@@ -83,6 +85,10 @@ fn parse_args() -> Result<Args, String> {
 /// sampled population run three ways — cold (fresh testbed per cell),
 /// warm single-core (one arena), and warm on the full thread pool —
 /// with the aggregates asserted equal before any rate is printed.
+///
+/// Then two same-run ratio gates, each exiting non-zero when it fails:
+/// warm ×1 must beat cold, and — when the host has at least two cores
+/// and `--threads` is at least 2 — warm ×N must beat warm ×1.
 fn run_warm_bench(args: &Args) {
     let spec = PopulationSpec::paper_default(args.seed, args.size);
     eprintln!(
@@ -126,6 +132,31 @@ fn run_warm_bench(args: &Args) {
         args.threads
     );
     println!("aggregates: identical across all three runs");
+
+    let mut failures = Vec::new();
+    if warm1_per_sec <= cold_per_sec {
+        failures.push(format!(
+            "warm x1 ({warm1_per_sec:.0}/s) does not beat cold ({cold_per_sec:.0}/s)"
+        ));
+    }
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cores < 2 || args.threads < 2 {
+        println!(
+            "gate warm xN > warm x1: skipped ({cores} core(s), --threads {})",
+            args.threads
+        );
+    } else if warm_mt_per_sec <= warm1_per_sec {
+        failures.push(format!(
+            "warm x{} ({warm_mt_per_sec:.0}/s) does not beat warm x1 ({warm1_per_sec:.0}/s)",
+            args.threads
+        ));
+    }
+    for failure in &failures {
+        eprintln!("warm-bench gate failed: {failure}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
+    }
 }
 
 fn main() {

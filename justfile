@@ -70,7 +70,8 @@ population:
 
 # Cold-vs-warm arena differential: run the census three ways (cold
 # build-and-throw-away, warm single-core arena, warm full pool), assert
-# the aggregates byte-identical, and print each rate.
+# the aggregates byte-identical, print each rate, and fail unless warm x1
+# beats cold and (on >= 2 cores) warm xN beats warm x1.
 warm-bench:
     cargo run --release --example population_census -- --size 50000 --shards 8 --warm-bench
 

@@ -1,7 +1,11 @@
 //! Frame-pool steady-state regression: once a host has warmed the resolver
 //! cache and the frame-buffer recycle pool, repeated cached-zone browses
-//! must be allocation-flat — every frame buffer comes from the pool
-//! (`pool.reused` grows, `pool.allocated` stays put).
+//! must be allocation-flat *in the pool*: every buffer drawn through
+//! `Ctx::send_copy` / `Ctx::buffer_from` — the switch's forwarding and
+//! flood copies — is a recycled one (`pool.reused` grows,
+//! `pool.allocated` stays put). Endpoint encoders (the host stack, the
+//! servers, the gateway) build each frame in a fresh exact-capacity `Vec`
+//! outside the pool, so these counters say nothing about them.
 //!
 //! Guards the zero-copy codec work: a decode path that quietly clones
 //! buffers (or a summarize path that re-parses into owned structs per hop)
