@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use v6testbed::scenario::ResolutionFailure;
-use v6testbed::{CellArena, Scenario, ScenarioResult, TraceMode};
+use v6testbed::{CellArena, CellObservation, Scenario, ScenarioResult, TraceMode};
 
 /// Streaming hooks into a running fleet: an observer shared across the
 /// pool's workers, notified as each unit of work completes and *before*
@@ -256,6 +256,40 @@ pub struct FleetCensus {
     pub dns_failures: [usize; ResolutionFailure::ALL.len()],
 }
 
+impl FleetCensus {
+    /// Count one observed cell — the only place an observation becomes
+    /// census counts.
+    pub fn count(&mut self, obs: &CellObservation) {
+        self.associated += 1;
+        self.naive_v6only += usize::from(obs.naive_counted);
+        self.accurate_v6only += usize::from(obs.accurate_counted);
+        self.with_v4_path += usize::from(obs.has_v4);
+        self.rfc8925_engaged += usize::from(obs.rfc8925_engaged);
+        self.intervened += usize::from(obs.intervened);
+        self.degraded += usize::from(obs.degraded);
+        if let Some(f) = obs.dns_failure {
+            self.dns_failures[f.index()] += 1;
+        }
+    }
+}
+
+impl std::ops::AddAssign<&FleetCensus> for FleetCensus {
+    /// Element-wise sum: counting two disjoint cell sets and adding
+    /// equals counting their union.
+    fn add_assign(&mut self, other: &FleetCensus) {
+        self.associated += other.associated;
+        self.naive_v6only += other.naive_v6only;
+        self.accurate_v6only += other.accurate_v6only;
+        self.with_v4_path += other.with_v4_path;
+        self.rfc8925_engaged += other.rfc8925_engaged;
+        self.intervened += other.intervened;
+        self.degraded += other.degraded;
+        for (a, b) in self.dns_failures.iter_mut().zip(other.dns_failures) {
+            *a += b;
+        }
+    }
+}
+
 /// `p50` / `p90` / `max` over a per-scenario quantity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Percentiles {
@@ -315,33 +349,11 @@ impl FleetReport {
     pub fn aggregate(results: Vec<ScenarioResult>) -> FleetReport {
         let mut census = FleetCensus::default();
         for r in &results {
-            census.associated += 1;
-            census.naive_v6only += usize::from(r.census.naive_counted);
-            census.accurate_v6only += usize::from(r.census.accurate_counted);
-            census.with_v4_path += usize::from(r.census.has_v4);
-            census.rfc8925_engaged += usize::from(r.verdict.rfc8925_engaged);
-            census.intervened += usize::from(r.verdict.intervened);
-            let nat64_refusals = r
-                .metrics
-                .node("5g-gw")
-                .map(|n| n.device.get("nat64.dropped_table_full"))
-                .unwrap_or(0);
-            census.degraded +=
-                usize::from(r.metrics.faults.total_dropped() > 0 || nat64_refusals > 0);
-            if let Some(f) = r.dns_failure() {
-                census.dns_failures[f.index()] += 1;
-            }
+            census.count(&r.verdict);
         }
         let timing = FleetTiming {
-            completed_us: Percentiles::of(
-                results.iter().map(|r| r.completed_at.as_micros()).collect(),
-            ),
-            events: Percentiles::of(
-                results
-                    .iter()
-                    .map(|r| r.metrics.engine.events_processed)
-                    .collect(),
-            ),
+            completed_us: Percentiles::of(results.iter().map(|r| r.verdict.completed_us).collect()),
+            events: Percentiles::of(results.iter().map(|r| r.verdict.events).collect()),
         };
         FleetReport {
             results,
@@ -356,23 +368,14 @@ impl FleetReport {
     /// what the clean-vs-impaired diff in `examples/fleet_census.rs`
     /// compares.
     pub fn census_by_os(&self) -> Vec<(String, FleetCensus)> {
-        let mut rows: std::collections::BTreeMap<String, FleetCensus> =
+        let mut rows: std::collections::BTreeMap<&str, FleetCensus> =
             std::collections::BTreeMap::new();
         for r in &self.results {
-            let sub = FleetReport::aggregate(vec![r.clone()]).census;
-            let row = rows.entry(r.census.os.clone()).or_default();
-            row.associated += sub.associated;
-            row.naive_v6only += sub.naive_v6only;
-            row.accurate_v6only += sub.accurate_v6only;
-            row.with_v4_path += sub.with_v4_path;
-            row.rfc8925_engaged += sub.rfc8925_engaged;
-            row.intervened += sub.intervened;
-            row.degraded += sub.degraded;
-            for (a, b) in row.dns_failures.iter_mut().zip(sub.dns_failures) {
-                *a += b;
-            }
+            rows.entry(&r.os).or_default().count(&r.verdict);
         }
-        rows.into_iter().collect()
+        rows.into_iter()
+            .map(|(os, row)| (os.to_string(), row))
+            .collect()
     }
 
     /// Sum every per-scenario [`v6sim::metrics::MetricsSnapshot`] into

@@ -151,12 +151,6 @@ impl LatencySketch {
         self.count += other.count;
     }
 
-    /// Alias of [`LatencySketch::merge_from`], kept for the original
-    /// merge-suite call sites.
-    pub fn merge(&mut self, other: &LatencySketch) {
-        self.merge_from(other);
-    }
-
     /// Nearest-rank quantile estimate: the upper bound of the bucket
     /// holding the rank-`ceil(q·count)` sample (clamped to `[1, count]`;
     /// `0` on an empty sketch, the sample itself on a one-element
@@ -227,7 +221,7 @@ impl SketchPercentiles {
 
 /// The streaming aggregate of a (shard of a) population census: census
 /// counters, per-OS and per-fault breakdowns, and virtual-time latency
-/// sketches. Every field is an integer count, so [`CensusSketch::merge`]
+/// sketches. Every field is an integer count, so [`CensusSketch::merge_from`]
 /// is exactly associative and commutative, and folding cells shard by
 /// shard equals folding them all in one pass — the algebra the
 /// population determinism guarantees stand on.
@@ -270,45 +264,11 @@ impl CensusSketch {
     /// Fold one observed cell into the sketch.
     pub fn fold(&mut self, spec: CellSpec, obs: CellObservation) {
         self.samples += 1;
-        Self::count(&mut self.census, obs);
-        Self::count(&mut self.by_os[spec.os.0 as usize], obs);
+        self.census.count(&obs);
+        self.by_os[spec.os.0 as usize].count(&obs);
         self.fault_mix[spec.fault.index()] += 1;
         self.completed_us.record(obs.completed_us);
         self.events.record(obs.events);
-    }
-
-    fn count(c: &mut FleetCensus, obs: CellObservation) {
-        c.associated += 1;
-        c.naive_v6only += usize::from(obs.naive_counted);
-        c.accurate_v6only += usize::from(obs.accurate_counted);
-        c.with_v4_path += usize::from(obs.has_v4);
-        c.rfc8925_engaged += usize::from(obs.rfc8925_engaged);
-        c.intervened += usize::from(obs.intervened);
-        c.degraded += usize::from(obs.degraded);
-        if let Some(f) = obs.dns_failure {
-            c.dns_failures[f.index()] += 1;
-        }
-    }
-
-    fn add_census(a: &mut FleetCensus, b: &FleetCensus) {
-        a.associated += b.associated;
-        a.naive_v6only += b.naive_v6only;
-        a.accurate_v6only += b.accurate_v6only;
-        a.with_v4_path += b.with_v4_path;
-        a.rfc8925_engaged += b.rfc8925_engaged;
-        a.intervened += b.intervened;
-        a.degraded += b.degraded;
-        for (x, y) in a.dns_failures.iter_mut().zip(b.dns_failures) {
-            *x += y;
-        }
-    }
-
-    /// A point-in-time copy of the live census. Plain element-wise
-    /// copies of integer tables — the streaming `/metrics` endpoint
-    /// snapshots under its lock instead of serializing the sketch and
-    /// re-parsing it on the read side.
-    pub fn snapshot(&self) -> CensusSketch {
-        self.clone()
     }
 
     /// Fold another shard's sketch into this one by reference. Pure
@@ -323,21 +283,15 @@ impl CensusSketch {
             "sketches must come from the same profile table"
         );
         self.samples += other.samples;
-        Self::add_census(&mut self.census, &other.census);
+        self.census += &other.census;
         for (a, b) in self.by_os.iter_mut().zip(&other.by_os) {
-            Self::add_census(a, b);
+            *a += b;
         }
         for (a, b) in self.fault_mix.iter_mut().zip(&other.fault_mix) {
             *a += b;
         }
         self.completed_us.merge_from(&other.completed_us);
         self.events.merge_from(&other.events);
-    }
-
-    /// Alias of [`CensusSketch::merge_from`], kept for the original
-    /// merge-suite call sites.
-    pub fn merge(&mut self, other: &CensusSketch) {
-        self.merge_from(other);
     }
 }
 
@@ -405,11 +359,6 @@ mod tests {
         let mut acc = LatencySketch::new();
         acc.merge_from(&live);
         assert_eq!(acc, live);
-        let mut census = CensusSketch::new();
-        let frozen = census.snapshot();
-        census.samples += 1;
-        assert_eq!(frozen.samples, 0);
-        assert_eq!(census.snapshot().samples, 1);
     }
 
     #[test]
@@ -427,12 +376,12 @@ mod tests {
             }
         }
         let mut merged = left.clone();
-        merged.merge(&right);
+        merged.merge_from(&right);
         assert_eq!(merged, whole);
         assert_eq!(merged.digest(), whole.digest());
         // Commutes too.
         let mut flipped = right.clone();
-        flipped.merge(&left);
+        flipped.merge_from(&left);
         assert_eq!(flipped, whole);
     }
 }

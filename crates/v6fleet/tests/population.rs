@@ -57,7 +57,7 @@ fn fold_all(cells: &[(CellSpec, CellObservation)]) -> CensusSketch {
 }
 
 fn merged(a: &CensusSketch, b: &CensusSketch) -> CensusSketch {
-    let mut m = a.snapshot();
+    let mut m = a.clone();
     m.merge_from(b);
     m
 }

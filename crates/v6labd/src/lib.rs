@@ -12,9 +12,8 @@
 //!   byte-identical to the batch tooling's output for the same spec.
 //! * [`state`] — the streaming side: the worker publishes per-scenario
 //!   results and per-shard census sketches into a live accumulator
-//!   *while a job runs*, and `GET /metrics` snapshots it without
-//!   stopping the stream (the non-consuming
-//!   [`v6fleet::CensusSketch::snapshot`] API).
+//!   *while a job runs*, and `GET /metrics` renders it under the same
+//!   lock without stopping the stream.
 //! * [`cron`] / [`scheduler`] / [`clock`] — recurring sweeps on a
 //!   virtual tick clock (a tick per completed job), so schedules are
 //!   deterministic and testable to the byte.

@@ -5,17 +5,15 @@
 //! The live metrics are the daemon's answer to "what is the fleet doing
 //! *right now*": the worker streams per-scenario results and per-shard
 //! census sketches into [`LiveMetrics`] via the [`FleetObserver`] hooks
-//! while a job is still running, and `GET /metrics` serialises a
-//! point-in-time [`CensusSketch::snapshot`] of it without stopping the
-//! stream — the non-consuming snapshot API is what makes that read
-//! side cheap.
+//! while a job is still running, and `GET /metrics` serialises it
+//! under the same lock without stopping the stream.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use v6fleet::{CensusSketch, FleetObserver, LatencySketch};
-use v6report::Json;
+use v6report::{census_row, Json};
 use v6testbed::scenario::ScenarioResult;
 
 use crate::detector::Detector;
@@ -68,7 +66,7 @@ impl LiveMetrics {
             .iter()
             .map(|n| n.device.get("dns.timeouts"))
             .sum::<u64>();
-        self.latency_us.record(r.completed_at.as_micros());
+        self.latency_us.record(r.verdict.completed_us);
     }
 
     /// Fold one completed population shard.
@@ -99,26 +97,11 @@ impl LiveMetrics {
         fleet.set("dns_timeouts", Json::U64(self.dns_timeouts));
         fleet.set("completed_us", sketch_row(&self.latency_us));
 
-        let census = self.census.snapshot();
-        let mut crow = Json::obj();
-        crow.set("associated", Json::U64(census.census.associated as u64));
-        crow.set("naive_v6only", Json::U64(census.census.naive_v6only as u64));
-        crow.set(
-            "accurate_v6only",
-            Json::U64(census.census.accurate_v6only as u64),
-        );
-        crow.set("with_v4_path", Json::U64(census.census.with_v4_path as u64));
-        crow.set(
-            "rfc8925_engaged",
-            Json::U64(census.census.rfc8925_engaged as u64),
-        );
-        crow.set("intervened", Json::U64(census.census.intervened as u64));
-        crow.set("degraded", Json::U64(census.census.degraded as u64));
         let mut population = Json::obj();
         population.set("shards_done", Json::U64(self.shards_done));
-        population.set("samples", Json::U64(census.samples));
-        population.set("census", crow);
-        population.set("completed_us", sketch_row(&census.completed_us));
+        population.set("samples", Json::U64(self.census.samples));
+        population.set("census", census_row(&self.census.census));
+        population.set("completed_us", sketch_row(&self.census.completed_us));
 
         let mut obj = Json::obj();
         obj.set("fleet", fleet);

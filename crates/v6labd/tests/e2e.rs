@@ -12,6 +12,7 @@ use v6fleet::FleetRunner;
 use v6labd::{LabServer, ServerConfig};
 use v6portal::http::{HttpRequest, HttpResponse};
 use v6report::{Json, RunManifest, CANONICAL_BASE_SEED};
+use v6testbed::scenario::ResolutionFailure;
 
 /// One request/response exchange against the daemon.
 fn exchange(addr: std::net::SocketAddr, raw: &str) -> HttpResponse {
@@ -136,6 +137,19 @@ fn population_job_streams_metrics_and_matches_the_batch_path() {
     assert_eq!(u64_at(&metrics, &["population", "samples"]), SIZE);
     assert_eq!(u64_at(&metrics, &["tick"]), 1);
     assert_eq!(u64_at(&metrics, &["jobs", "done"]), 1);
+    // The live census row carries every classified DNS failure reason,
+    // counted exactly as the batch report counts them.
+    for f in ResolutionFailure::ALL {
+        assert_eq!(
+            u64_at(
+                &metrics,
+                &["population", "census", "dns_failures", f.label()]
+            ),
+            batch.report.sketch.census.dns_failures[f.index()] as u64,
+            "dns_failures.{}",
+            f.label()
+        );
+    }
 
     server.stop();
 }

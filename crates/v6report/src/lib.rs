@@ -33,6 +33,7 @@ pub mod manifest;
 pub use canon::Json;
 pub use diff::{classify, diff_manifests, DiffConfig, Drift, DriftClass, DriftReport};
 pub use manifest::{
-    canonical_population, fnv1a, MatrixSpec, RunManifest, SoakIncidentRow, SoakJobRow, SoakSummary,
-    CANONICAL_BASE_SEED, CANONICAL_POPULATION_SHARDS, CANONICAL_POPULATION_SIZE, SCHEMA_VERSION,
+    canonical_population, census_row, fnv1a, MatrixSpec, RunManifest, SoakIncidentRow, SoakJobRow,
+    SoakSummary, CANONICAL_BASE_SEED, CANONICAL_POPULATION_SHARDS, CANONICAL_POPULATION_SIZE,
+    SCHEMA_VERSION,
 };

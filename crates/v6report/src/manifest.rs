@@ -333,7 +333,9 @@ fn config_section(spec: &MatrixSpec, scenarios: &[Scenario]) -> Json {
     config
 }
 
-fn census_row(c: &FleetCensus) -> Json {
+/// One census row as canonical JSON: every [`FleetCensus`] counter,
+/// with the DNS failures keyed by [`ResolutionFailure::label`].
+pub fn census_row(c: &FleetCensus) -> Json {
     let mut row = Json::obj();
     row.set("associated", Json::U64(c.associated as u64));
     row.set("naive_v6only", Json::U64(c.naive_v6only as u64));
@@ -374,19 +376,11 @@ fn verdict_rows(scenarios: &[Scenario], report: &FleetReport) -> Json {
             row.set("sc24", Json::Str(r.verdict.sc24.label().into()));
             row.set("ip6me", Json::Str(r.verdict.ip6me.label().into()));
             row.set("intervened", Json::Bool(r.verdict.intervened));
-            row.set("naive_counted", Json::Bool(r.census.naive_counted));
-            row.set("accurate_counted", Json::Bool(r.census.accurate_counted));
-            let nat64_refusals = r
-                .metrics
-                .node("5g-gw")
-                .map(|n| n.device.get("nat64.dropped_table_full"))
-                .unwrap_or(0);
-            row.set(
-                "degraded",
-                Json::Bool(r.metrics.faults.total_dropped() > 0 || nat64_refusals > 0),
-            );
-            row.set("completed_us", Json::U64(r.completed_at.as_micros()));
-            row.set("events", Json::U64(r.metrics.engine.events_processed));
+            row.set("naive_counted", Json::Bool(r.verdict.naive_counted));
+            row.set("accurate_counted", Json::Bool(r.verdict.accurate_counted));
+            row.set("degraded", Json::Bool(r.verdict.degraded));
+            row.set("completed_us", Json::U64(r.verdict.completed_us));
+            row.set("events", Json::U64(r.verdict.events));
             // One digest over the *entire* rendered MetricsSnapshot —
             // every engine, fault, pool, trace, and per-node counter of
             // this cell. Any counter drift anywhere moves this field.

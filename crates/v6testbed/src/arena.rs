@@ -8,6 +8,9 @@
 //! poison × trace mode — six combinations in the paper matrix) and
 //! [recycles](Testbed::recycle) it between cells instead of rebuilding.
 //!
+//! A cold run is the first use of a fresh arena, so warm and cold cells
+//! share one code path and differ only in how the testbed arrives.
+//!
 //! Correctness bar: a warm run is *byte-identical* to a cold run — same
 //! [`CellObservation`], same [`ScenarioResult`] including the full
 //! metrics snapshot (pool counters included). The differential suite in
@@ -19,15 +22,15 @@
 //! `&mut` borrow.
 
 use crate::scenario::{
-    cell_config, observe_cell, run_cell_body, CellObservation, CellSpec, PoisonVariant, Scenario,
-    ScenarioResult, TopologyVariant,
+    cell_config, observe_cell, CellObservation, CellSpec, PoisonVariant, Scenario, ScenarioResult,
+    TopologyVariant,
 };
 use crate::topology::{Testbed, TestbedConfig};
 use v6sim::engine::TraceMode;
 
 /// Stable key for one build configuration. FNV-1a over the three
 /// build-time dimensions; everything else a cell varies is per-run
-/// state applied by the shared run body.
+/// state applied by [`observe_cell`].
 fn arena_key(topology: TopologyVariant, poison: PoisonVariant, trace: TraceMode) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in [
@@ -116,14 +119,14 @@ impl CellArena {
 
     /// A ready-to-run testbed for the given build dimensions: recycled
     /// in place when a matching slot exists, built cold otherwise.
-    fn slot_index(
+    pub(crate) fn testbed(
         &mut self,
         topology: TopologyVariant,
         poison: PoisonVariant,
         trace: TraceMode,
-    ) -> usize {
+    ) -> &mut Testbed {
         let key = arena_key(topology, poison, trace);
-        if let Some(i) = self.slots.iter().position(|s| s.key == key) {
+        let i = if let Some(i) = self.slots.iter().position(|s| s.key == key) {
             let slot = &mut self.slots[i];
             slot.tb.recycle(&slot.config);
             self.cells_warm += 1;
@@ -134,38 +137,28 @@ impl CellArena {
             self.slots.push(ArenaSlot { key, config, tb });
             self.cells_cold += 1;
             self.slots.len() - 1
-        }
+        };
+        &mut self.slots[i].tb
     }
 
-    /// Run a population cell on a warm testbed — the drop-in equivalent
-    /// of [`CellSpec::run_observation`], byte-identical output.
+    /// Run a population cell — recycled when this arena already holds
+    /// its build configuration, built cold otherwise.
     pub fn run_observation(&mut self, spec: CellSpec) -> CellObservation {
-        let i = self.slot_index(spec.topology, spec.poison, TraceMode::Off);
-        let slot = &mut self.slots[i];
-        let (id, verdict) = run_cell_body(
-            &mut slot.tb,
-            spec.fault,
-            spec.os.profile().clone(),
-            spec.seed,
-        );
-        observe_cell(&mut slot.tb, id, &verdict)
+        let tb = self.testbed(spec.topology, spec.poison, TraceMode::Off);
+        observe_cell(tb, spec.fault, spec.os.profile().clone(), spec.seed)
     }
 
-    /// Run a matrix cell on a warm testbed — the drop-in equivalent of
-    /// [`Scenario::run_with_trace`], byte-identical output including the
-    /// full metrics snapshot.
+    /// Run a matrix cell and collect the full result, metrics snapshot
+    /// included — the body behind [`Scenario::run_with_trace`].
     pub fn run_with_trace(&mut self, s: &Scenario, trace: TraceMode) -> ScenarioResult {
-        let i = self.slot_index(s.topology, s.poison, trace);
-        let slot = &mut self.slots[i];
-        let (_id, verdict) = run_cell_body(&mut slot.tb, s.fault, s.os.clone(), s.seed);
-        let (entries, _) = crate::census::census(&mut slot.tb);
+        let tb = self.testbed(s.topology, s.poison, trace);
+        let verdict = observe_cell(tb, s.fault, s.os.clone(), s.seed);
         ScenarioResult {
             label: s.label(),
             seed: s.seed,
+            os: s.os.name.clone(),
             verdict,
-            census: entries.into_iter().next().expect("one host attached"),
-            metrics: slot.tb.net.metrics(),
-            completed_at: slot.tb.net.now(),
+            metrics: tb.net.metrics(),
         }
     }
 }

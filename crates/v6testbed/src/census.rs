@@ -39,6 +39,13 @@ pub struct CensusSummary {
     pub with_v4_path: usize,
 }
 
+/// The SC24 census rule: IPv6 must work and no IPv4 data path may
+/// remain. Shared by the multi-host [`census`] and the single-cell
+/// observation, so the two cannot disagree.
+pub(crate) fn accurate_counted(has_v6: bool, has_v4: bool) -> bool {
+    has_v6 && !has_v4
+}
+
 /// Classify every attached client.
 pub fn census(tb: &mut Testbed) -> (Vec<CensusEntry>, CensusSummary) {
     let hosts = tb.hosts.clone();
@@ -55,8 +62,7 @@ pub fn census(tb: &mut Testbed) -> (Vec<CensusEntry>, CensusSummary) {
             rfc8925_engaged: h.v6only_mode,
             // SC23: associated == counted.
             naive_counted: true,
-            // SC24: IPv6 must work and no IPv4 data path may remain.
-            accurate_counted: has_v6 && !has_v4,
+            accurate_counted: accurate_counted(has_v6, has_v4),
         };
         entries.push(entry);
     }

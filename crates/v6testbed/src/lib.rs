@@ -33,7 +33,7 @@ pub use arena::CellArena;
 pub use census::{census, CensusEntry, CensusSummary};
 pub use scenario::{
     os_profiles, CellObservation, CellSpec, OsProfileId, PathFamily, PoisonVariant, Scenario,
-    ScenarioResult, TopologyVariant, Verdict,
+    ScenarioResult, TopologyVariant,
 };
 pub use topology::{Testbed, TestbedConfig};
 /// Re-export of the engine's trace verbosity knob, so fleet callers can

@@ -6,13 +6,14 @@
 //! switch + Raspberry Pi), an IPv4 DNS intervention policy, and an RNG
 //! seed for the client. [`Scenario::run`] builds a fresh testbed, boots
 //! the client, browses the IPv4-only conference site and dual-stack
-//! ip6.me, and returns a plain-data [`ScenarioResult`]: verdict, census
-//! row, full [`MetricsSnapshot`], and virtual-clock timing. Everything
-//! in the result is `Clone + Eq`, so two runs of the same scenario can
-//! be compared field-for-field — the property the fleet's determinism
+//! ip6.me, and returns a plain-data [`ScenarioResult`]: the cell's
+//! [`CellObservation`] and the full [`MetricsSnapshot`]. Everything in
+//! the result is `Clone + Eq`, so two runs of the same scenario can be
+//! compared field-for-field — the property the fleet's determinism
 //! tests rely on.
 
-use crate::census::{census, CensusEntry};
+use crate::arena::CellArena;
+use crate::census::accurate_counted;
 use crate::topology::{Testbed, TestbedConfig};
 use crate::zones::{addrs, delegated_internet_dns};
 use std::net::IpAddr;
@@ -24,7 +25,6 @@ use v6host::tasks::{AppTask, TaskOutcome};
 use v6sim::engine::TraceMode;
 use v6sim::fault::{EndpointMatch, FaultPlan, Impairment, LinkFault, Outage};
 use v6sim::metrics::MetricsSnapshot;
-use v6sim::time::SimTime;
 
 /// Which physical build of Fig. 4 the scenario runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -281,10 +281,10 @@ impl CellSpec {
         }
     }
 
-    /// Run the cell and observe only the compact census row — the
-    /// population hot path. See [`Scenario::run_observation`].
+    /// Run the cell on a freshly built testbed and observe only the
+    /// compact census row. See [`Scenario::run_observation`].
     pub fn run_observation(self) -> CellObservation {
-        self.to_scenario().run_observation()
+        CellArena::new().run_observation(self)
     }
 }
 
@@ -448,47 +448,28 @@ impl Scenario {
 
     /// [`Scenario::run`] with an explicit engine trace mode — `Off` for
     /// maximum-throughput sweeps, `Full` when the per-frame summaries are
-    /// wanted (figure regeneration, debugging a single cell).
+    /// wanted (figure regeneration, debugging a single cell). The testbed
+    /// is the first use of a fresh [`CellArena`]: a cold build.
     pub fn run_with_trace(&self, trace: TraceMode) -> ScenarioResult {
-        let (mut tb, _id, verdict) = self.execute(trace);
-        let (entries, _) = census(&mut tb);
-        ScenarioResult {
-            label: self.label(),
-            seed: self.seed,
-            verdict,
-            census: entries.into_iter().next().expect("one host attached"),
-            metrics: tb.net.metrics(),
-            completed_at: tb.net.now(),
-        }
+        CellArena::new().run_with_trace(self, trace)
     }
 
-    /// Run the cell and collect only the compact, `Copy` census row —
-    /// the population hot path. No label string, no `CensusEntry`
-    /// clones, and crucially no full [`MetricsSnapshot`] (which clones
-    /// every node name and counter map): the two counters the census
-    /// needs are read straight off the engine and the gateway. Every
-    /// field agrees with what [`Scenario::run`] would report — see
-    /// [`CellObservation::from_result`] and the equivalence test.
+    /// Run the cell on a freshly built testbed and collect only the
+    /// compact, `Copy` census row — no label string and no full
+    /// [`MetricsSnapshot`] (which clones every node name and counter
+    /// map). It equals [`Scenario::run`]'s `verdict`: both come from the
+    /// one classification in `observe_cell`.
     pub fn run_observation(&self) -> CellObservation {
-        let (mut tb, id, verdict) = self.execute(TraceMode::Off);
-        observe_cell(&mut tb, id, &verdict)
-    }
-
-    /// Build the testbed, boot the client, run the browse workload, and
-    /// classify the outcome — the body shared by the full-result and
-    /// observation-only paths. Warm execution (`crate::arena`) shares
-    /// [`run_cell_body`] and differs only in how the testbed arrives.
-    fn execute(&self, trace: TraceMode) -> (Testbed, v6sim::engine::NodeId, Verdict) {
-        let mut tb = Testbed::build(cell_config(self.topology, self.poison, trace));
-        let (id, verdict) = run_cell_body(&mut tb, self.fault, self.os.clone(), self.seed);
-        (tb, id, verdict)
+        let mut arena = CellArena::new();
+        let tb = arena.testbed(self.topology, self.poison, TraceMode::Off);
+        observe_cell(tb, self.fault, self.os.clone(), self.seed)
     }
 }
 
 /// The [`TestbedConfig`] a cell's (topology, poison, trace) dimensions
 /// resolve to. These are exactly the build-time knobs — everything else
 /// a cell varies (fault plan, NAT64 cap, host profile, seed) is applied
-/// per run by [`run_cell_body`], which is what makes testbeds reusable
+/// per run by [`observe_cell`], which is what makes testbeds reusable
 /// across cells that share this config.
 pub(crate) fn cell_config(
     topology: TopologyVariant,
@@ -506,17 +487,18 @@ pub(crate) fn cell_config(
 }
 
 /// Install the per-cell state on a post-build (or recycled) testbed,
-/// boot the client, run the browse workload, and classify the outcome.
-/// Cold ([`Scenario::execute`]) and warm ([`crate::arena::CellArena`])
-/// paths both run exactly this body, in exactly this order — the
-/// conditional fault install mirrors the fact that a fresh build never
-/// sees `set_fault_plan` for a no-op plan, so `fault_active` agrees.
-pub(crate) fn run_cell_body(
+/// boot the client, run the browse workload, and classify the outcome —
+/// the one place a cell's census row is decided. Every path (fresh
+/// build or recycled [`CellArena`] slot, observation or full result)
+/// runs exactly this body, in exactly this order — the conditional
+/// fault install mirrors the fact that a fresh build never sees
+/// `set_fault_plan` for a no-op plan, so `fault_active` agrees.
+pub(crate) fn observe_cell(
     tb: &mut Testbed,
     fault: FaultVariant,
     os: OsProfile,
     seed: u64,
-) -> (v6sim::engine::NodeId, Verdict) {
+) -> CellObservation {
     let plan = fault.plan(seed);
     if !plan.is_noop() {
         tb.net.set_fault_plan(plan);
@@ -563,50 +545,31 @@ pub(crate) fn run_cell_body(
             if body.contains("helpdesk")
     );
     let h = tb.host(id);
-    let verdict = Verdict {
-        rfc8925_engaged: h.v6only_mode,
-        has_v4: h.v4_active(),
-        sc24: PathFamily::of(&sc24),
-        ip6me: PathFamily::of(&ip6me),
-        intervened,
-    };
-    (id, verdict)
-}
-
-/// Project a finished cell down to the compact observation — the
-/// shared tail of [`Scenario::run_observation`] and the arena's warm
-/// observation path.
-pub(crate) fn observe_cell(
-    tb: &mut Testbed,
-    id: v6sim::engine::NodeId,
-    verdict: &Verdict,
-) -> CellObservation {
-    let h = tb.host(id);
+    let rfc8925_engaged = h.v6only_mode;
     let has_v6 = h.v6_global_active();
     let has_v4 = h.v4_active();
     let dns_failure = h.dns_failure();
-    let fault_dropped = tb.net.fault_frames_dropped();
-    let nat64_refusals = tb.gateway().nat64.dropped_table_full;
+    let degraded = tb.net.fault_frames_dropped() > 0 || tb.gateway().nat64.dropped_table_full > 0;
     CellObservation {
-        rfc8925_engaged: verdict.rfc8925_engaged,
-        has_v4: verdict.has_v4,
-        sc24: verdict.sc24,
-        ip6me: verdict.ip6me,
-        intervened: verdict.intervened,
+        rfc8925_engaged,
+        has_v4,
+        sc24: PathFamily::of(&sc24),
+        ip6me: PathFamily::of(&ip6me),
+        intervened,
         naive_counted: true,
-        accurate_counted: has_v6 && !has_v4,
-        degraded: fault_dropped > 0 || nat64_refusals > 0,
+        accurate_counted: accurate_counted(has_v6, has_v4),
+        degraded,
         dns_failure,
         completed_us: tb.net.now().as_micros(),
         events: tb.net.events_processed(),
     }
 }
 
-/// The compact, `Copy` observation of one cell — everything the
-/// population census folds into its sketch, and nothing else. A strict
-/// projection of [`ScenarioResult`]: [`CellObservation::from_result`]
-/// computes the identical value from a full result, which is how the
-/// streaming aggregation is proven equivalent to the materializing one.
+/// The compact, `Copy` observation of one cell — its verdict and census
+/// row, everything a census counts, and nothing else. `observe_cell`
+/// is the only code that builds one; every census (population sketch,
+/// fleet report, manifest) counts these, so the streaming and
+/// materializing aggregations agree by construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellObservation {
     /// RFC 8925 engaged after boot (IPv4 administratively off).
@@ -634,47 +597,6 @@ pub struct CellObservation {
     pub events: u64,
 }
 
-impl CellObservation {
-    /// Project a full [`ScenarioResult`] down to the observation — the
-    /// same fields, derived the same way `v6fleet`'s materializing
-    /// aggregation derives them.
-    pub fn from_result(r: &ScenarioResult) -> CellObservation {
-        let nat64_refusals = r
-            .metrics
-            .node("5g-gw")
-            .map(|n| n.device.get("nat64.dropped_table_full"))
-            .unwrap_or(0);
-        CellObservation {
-            rfc8925_engaged: r.verdict.rfc8925_engaged,
-            has_v4: r.verdict.has_v4,
-            sc24: r.verdict.sc24,
-            ip6me: r.verdict.ip6me,
-            intervened: r.verdict.intervened,
-            naive_counted: r.census.naive_counted,
-            accurate_counted: r.census.accurate_counted,
-            degraded: r.metrics.faults.total_dropped() > 0 || nat64_refusals > 0,
-            dns_failure: r.dns_failure(),
-            completed_us: r.completed_at.as_micros(),
-            events: r.metrics.engine.events_processed,
-        }
-    }
-}
-
-/// The scenario-level observations the fleet report aggregates.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Verdict {
-    /// RFC 8925 engaged after boot (IPv4 administratively off).
-    pub rfc8925_engaged: bool,
-    /// Client still holds an IPv4 data path.
-    pub has_v4: bool,
-    /// Family that reached the IPv4-only conference site.
-    pub sc24: PathFamily,
-    /// Family that reached dual-stack ip6.me.
-    pub ip6me: PathFamily,
-    /// Client was redirected to the intervention page.
-    pub intervened: bool,
-}
-
 /// Everything one scenario run produced — plain data, `Clone + Eq`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScenarioResult {
@@ -682,33 +604,15 @@ pub struct ScenarioResult {
     pub label: String,
     /// The client seed.
     pub seed: u64,
-    /// Outcome classification.
-    pub verdict: Verdict,
-    /// The client's census row.
-    pub census: CensusEntry,
+    /// OS profile name of the client.
+    pub os: String,
+    /// The cell's classification and census row.
+    pub verdict: CellObservation,
     /// Full engine + per-node counter snapshot at the end of the run.
     pub metrics: MetricsSnapshot,
-    /// Virtual-clock time when the run finished.
-    pub completed_at: SimTime,
 }
 
 impl ScenarioResult {
-    /// Most severe classified resolution failure the client recorded —
-    /// the same lowest-index-wins projection `Host::dns_failure`
-    /// applies, read back out of the host's device metrics (the first
-    /// host is always the `host0-`-prefixed node).
-    pub fn dns_failure(&self) -> Option<ResolutionFailure> {
-        self.metrics
-            .nodes
-            .iter()
-            .find(|n| n.name.starts_with("host0-"))
-            .and_then(|n| {
-                ResolutionFailure::ALL
-                    .into_iter()
-                    .find(|f| n.device.get(&format!("dns.fail.{}", f.label())) > 0)
-            })
-    }
-
     /// Paper-style one-line rendering.
     pub fn render(&self) -> String {
         format!(
@@ -777,11 +681,12 @@ mod tests {
     }
 
     #[test]
-    fn observation_is_a_strict_projection_of_the_full_result() {
-        // Across a spread of cells — both topologies, an RFC 8925
-        // client, a v4-only console, and two impaired runs — the cheap
-        // observation path must agree field-for-field with projecting
-        // the full materialized result.
+    fn observation_equals_the_full_result_verdict() {
+        // Across a spread of cells — both topologies, both trace modes,
+        // an RFC 8925 client, a v4-only console, and every fault kind —
+        // the cheap observation path must agree field-for-field with the
+        // verdict of the full materialized result (which runs under
+        // `Hops`, the observation under `Off`).
         let cells = [
             Scenario {
                 os: OsProfile::macos(),
@@ -818,11 +723,25 @@ mod tests {
                 fault: FaultVariant::BrokenDelegation,
                 seed: 15,
             },
+            Scenario {
+                os: OsProfile::windows_10(),
+                topology: TopologyVariant::PaperDefault,
+                poison: PoisonVariant::WildcardA,
+                fault: FaultVariant::Dns64Outage,
+                seed: 16,
+            },
+            Scenario {
+                os: OsProfile::nintendo_switch(),
+                topology: TopologyVariant::RawGateway,
+                poison: PoisonVariant::Rpz,
+                fault: FaultVariant::Nat64Exhaustion,
+                seed: 17,
+            },
         ];
         for s in cells {
-            let full = CellObservation::from_result(&s.run());
-            let cheap = s.run_observation();
-            assert_eq!(full, cheap, "{} diverged", s.label());
+            let full = s.run();
+            assert_eq!(full.verdict, s.run_observation(), "{} diverged", s.label());
+            assert_eq!(full.verdict.events, full.metrics.engine.events_processed);
         }
     }
 

@@ -2,19 +2,17 @@
 //! UDP, TCP, ICMPv4 and ICMPv6, plus the incremental-update rule (RFC 1624)
 //! that the SIIT translator in `v6xlat` relies on.
 //!
-//! Spans of eight bytes or more are summed by a wide kernel selected at
-//! runtime: native-endian `u64` loads added with end-around carry (the
-//! carries are counted and added back once), folded to 16 bits and byte
-//! swapped once at the end — the byte-order independence of RFC 1071
-//! §2(B). `SC24_CHECKSUM_KERNEL=scalar|swar` forces a kernel, and
-//! [`checksum_with`] exposes both for differential testing. Because the
-//! ones'-complement sum is a fold of a plain integer sum, the kernels are
-//! bit-for-bit interchangeable — `tests/conformance.rs` proves it on the
-//! committed corpus, on random slices and on carry-heavy spans at every
-//! alignment. Pseudo-headers are summed as words, never as byte slices.
+//! Spans of eight bytes or more are summed by a wide kernel: native-endian
+//! `u64` loads added with end-around carry (the carries are counted and
+//! added back once), folded to 16 bits and byte swapped once at the end —
+//! the byte-order independence of RFC 1071 §2(B). The two-byte scalar loop
+//! stays as the reference: [`checksum_with`] exposes both kernels for
+//! differential testing. Because the ones'-complement sum is a fold of a
+//! plain integer sum, the kernels are bit-for-bit interchangeable —
+//! `tests/conformance.rs` proves it on the committed corpus, on random
+//! slices and on carry-heavy spans at every alignment. Pseudo-headers are summed as words, never as byte slices.
 
 use std::net::{Ipv4Addr, Ipv6Addr};
-use std::sync::OnceLock;
 
 /// Which summation kernel to use for bulk spans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,18 +22,6 @@ pub enum Kernel {
     /// Eight bytes per step: native-endian `u64` words summed with end-around
     /// carry, folded and byte swapped once per span (RFC 1071 §2(B)).
     Swar,
-}
-
-/// The kernel used by [`Checksum::push`] and [`checksum`], resolved once per
-/// process: `SC24_CHECKSUM_KERNEL=scalar|swar` overrides, default [`Kernel::Swar`].
-pub fn active_kernel() -> Kernel {
-    static ACTIVE: OnceLock<Kernel> = OnceLock::new();
-    *ACTIVE.get_or_init(
-        || match std::env::var("SC24_CHECKSUM_KERNEL").ok().as_deref() {
-            Some("scalar") => Kernel::Scalar,
-            _ => Kernel::Swar,
-        },
-    )
 }
 
 /// Below one `u64` word the wide kernel has nothing to load, so shorter
@@ -94,25 +80,11 @@ fn sum_words_scalar(data: &[u8]) -> u64 {
 /// Feed arbitrary byte slices (odd lengths allowed; a trailing odd byte is
 /// padded with zero exactly as RFC 1071 specifies), then call
 /// [`Checksum::finish`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Checksum {
     sum: u64,
     /// Pending odd byte from a previous `push` whose slice had odd length.
     pending: Option<u8>,
-    /// Kernel resolved once at construction: the process-wide `OnceLock`
-    /// load is an atomic op per call, which is measurable at one
-    /// accumulator per simulated frame.
-    kernel: Kernel,
-}
-
-impl Default for Checksum {
-    fn default() -> Self {
-        Self {
-            sum: 0,
-            pending: None,
-            kernel: active_kernel(),
-        }
-    }
 }
 
 impl Checksum {
@@ -121,10 +93,10 @@ impl Checksum {
         Self::default()
     }
 
-    /// Add `data` to the running sum using the process-wide kernel.
+    /// Add `data` to the running sum with the wide kernel.
     #[inline]
     pub fn push(&mut self, data: &[u8]) {
-        self.push_with(self.kernel, data);
+        self.push_with(Kernel::Swar, data);
     }
 
     /// Add `data` to the running sum with an explicit kernel.
@@ -199,9 +171,9 @@ impl Checksum {
     }
 }
 
-/// One-shot checksum of a byte slice using the process-wide kernel.
+/// One-shot checksum of a byte slice with the wide kernel.
 pub fn checksum(data: &[u8]) -> u16 {
-    checksum_with(active_kernel(), data)
+    checksum_with(Kernel::Swar, data)
 }
 
 /// One-shot checksum of a byte slice with an explicit kernel — the

@@ -85,19 +85,17 @@ bench:
 # One iteration of every bench body — proves the benches still run
 # without paying for full sampling (what CI executes).
 bench-smoke:
-    cargo bench -p v6bench --bench engine_hot_path -- --test
-    cargo bench -p v6bench --bench codec_zero_copy -- --test
+    cargo bench -p v6bench -- --test
 
 # The codec-conformance pass at CI depth: the one frame parser and the
 # one DNS parser against the pinned outcomes of the committed corpus,
-# plus 256 proptest cases per suite, both checksum kernels, and the
-# frame-pool steady-state gate.
+# plus 256 proptest cases per suite (the checksum kernel-equality tests
+# among them), and the frame-pool steady-state gate.
 conformance:
     PROPTEST_CASES=256 cargo test -p v6wire --test conformance -q
     PROPTEST_CASES=256 cargo test -p v6wire --test prop_roundtrip -q
     PROPTEST_CASES=256 cargo test -p v6dns --test conformance -q
     PROPTEST_CASES=256 cargo test -p v6dns --test prop_dns -q
-    SC24_CHECKSUM_KERNEL=scalar cargo test -p v6wire -q
     cargo test -q --test pool_steady_state
 
 # The DNS realism lane at CI depth: master-file fixtures round-trip

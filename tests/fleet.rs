@@ -161,12 +161,8 @@ fn nat64_exhaustion_splits_census_by_profile() {
 fn verdicts_are_seed_stable() {
     let a = run_serial(&Scenario::matrix(1).into_iter().take(6).collect::<Vec<_>>());
     let b = run_serial(&Scenario::matrix(2).into_iter().take(6).collect::<Vec<_>>());
-    let verdicts = |r: &v6fleet::FleetReport| {
-        r.results
-            .iter()
-            .map(|x| x.verdict.clone())
-            .collect::<Vec<_>>()
-    };
+    let verdicts =
+        |r: &v6fleet::FleetReport| r.results.iter().map(|x| x.verdict).collect::<Vec<_>>();
     assert_eq!(verdicts(&a), verdicts(&b));
     assert_eq!(a.census, b.census);
 }
