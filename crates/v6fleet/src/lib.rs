@@ -392,8 +392,6 @@ impl FleetReport {
     pub fn metrics_totals(&self) -> FleetMetricsTotals {
         let mut engine = v6sim::metrics::EngineMetrics::default();
         let mut faults = v6sim::metrics::FaultCounters::default();
-        let mut pool = v6sim::metrics::PoolCounters::default();
-        let mut trace = v6sim::metrics::TraceCounters::default();
         let mut nodes: std::collections::BTreeMap<
             String,
             (v6sim::metrics::LinkCounters, v6wire::metrics::Metrics),
@@ -413,10 +411,6 @@ impl FleetReport {
             faults.corrupted += m.faults.corrupted;
             faults.truncated += m.faults.truncated;
             faults.outage_micros += m.faults.outage_micros;
-            pool.allocated += m.pool.allocated;
-            pool.reused += m.pool.reused;
-            trace.suppressed += m.trace.suppressed;
-            trace.capture_suppressed += m.trace.capture_suppressed;
             for n in &m.nodes {
                 let (link, device) = nodes.entry(n.name.clone()).or_default();
                 link.frames_tx += n.link.frames_tx;
@@ -431,8 +425,6 @@ impl FleetReport {
         FleetMetricsTotals {
             engine,
             faults,
-            pool,
-            trace,
             nodes: nodes
                 .into_iter()
                 .map(|(name, (link, device))| NodeTotals { name, link, device })
@@ -509,10 +501,6 @@ pub struct FleetMetricsTotals {
     pub engine: v6sim::metrics::EngineMetrics,
     /// Injected-fault totals.
     pub faults: v6sim::metrics::FaultCounters,
-    /// Frame-pool totals.
-    pub pool: v6sim::metrics::PoolCounters,
-    /// Trace/capture cap-overflow totals.
-    pub trace: v6sim::metrics::TraceCounters,
     /// Per-node rows, ordered by node name.
     pub nodes: Vec<NodeTotals>,
 }

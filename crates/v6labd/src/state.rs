@@ -11,6 +11,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use v6fleet::{CensusSketch, FleetObserver, LatencySketch};
 use v6report::{census_row, Json};
@@ -120,7 +121,8 @@ pub struct LabState {
     pub jobs: Mutex<Vec<JobRecord>>,
     /// Ids waiting for the worker.
     pub queue: Mutex<VecDeque<u64>>,
-    /// Wakes the worker when the queue gains work (or shutdown starts).
+    /// Wakes the workers when the queue gains work, and the workers and
+    /// any pacing dwell ([`LabState::dwell`]) when shutdown starts.
     pub queue_cv: Condvar,
     /// The streaming accumulator.
     pub live: Mutex<LiveMetrics>,
@@ -163,14 +165,28 @@ impl LabState {
         });
         drop(jobs);
         self.queue.lock().expect("queue lock").push_back(id);
-        self.queue_cv.notify_one();
+        // All: a dwelling worker may be waiting on the same condvar.
+        self.queue_cv.notify_all();
         id
     }
 
-    /// Begin a graceful shutdown: flag + wake the worker.
+    /// Begin a graceful shutdown: flag + wake the workers and any
+    /// pacing dwell.
     pub fn begin_shutdown(&self) {
+        // Under the queue lock, which `dwell` checks the flag under, so
+        // a dwell cannot miss the wake-up.
+        let _queue = self.queue.lock().expect("queue lock");
         self.shutdown.store(true, Ordering::SeqCst);
         self.queue_cv.notify_all();
+    }
+
+    /// Sleep for `pace`, or until shutdown begins, whichever is first.
+    pub fn dwell(&self, pace: Duration) {
+        let queue = self.queue.lock().expect("queue lock");
+        let _ = self
+            .queue_cv
+            .wait_timeout_while(queue, pace, |_| !self.shutting_down())
+            .expect("queue lock");
     }
 
     /// Is shutdown in progress?
@@ -221,7 +237,8 @@ impl LabState {
 /// The worker's streaming observer: folds scenario results and shard
 /// sketches into [`LiveMetrics`] as they land, optionally dwelling
 /// after each shard (`pace_ms`) so an operator-paced background census
-/// yields the listener some air. Virtual time never sees the dwell.
+/// yields the listener some air. Virtual time never sees the dwell, and
+/// shutdown cuts it short.
 pub struct LiveObserver<'a> {
     state: &'a LabState,
     pace_ms: u64,
@@ -250,7 +267,7 @@ impl FleetObserver for LiveObserver<'_> {
             .expect("live lock")
             .fold_shard(sketch);
         if self.pace_ms > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(self.pace_ms));
+            self.state.dwell(Duration::from_millis(self.pace_ms));
         }
     }
 }

@@ -334,3 +334,35 @@ fn shutdown_over_http_stops_both_threads() {
         }
     }
 }
+
+#[test]
+fn shutdown_cuts_a_paced_population_job_short() {
+    let server = LabServer::start(ServerConfig::default()).expect("daemon starts");
+    let addr = server.addr;
+    // An hour of dwell after every shard: shutdown must not wait it out.
+    let accepted = post(
+        addr,
+        "/jobs",
+        r#"{"kind":"population","size":4,"shards":4,"pace_ms":3600000}"#,
+    );
+    assert_eq!(accepted.status, 202);
+    let id = u64_at(&Json::parse(&accepted.body).unwrap(), &["id"]);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let v = Json::parse(&get(addr, &format!("/jobs/{id}")).body).unwrap();
+        if v.get("status") == Some(&Json::Str("running".into())) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "job {id} never started");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.stop();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("stop() must return while a paced job is dwelling");
+}

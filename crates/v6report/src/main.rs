@@ -1,27 +1,28 @@
 //! `v6report` — emit, check, and diff canonical run manifests.
 //!
 //! ```text
-//! v6report emit  [--out DIR]
-//! v6report check [STEM...] [--reports DIR] [--fresh-out DIR] [--tolerance F] [--threads N]
-//! v6report diff <before.json> <after.json> [--tolerance F]
+//! v6report emit  [--out DIR] [--threads N]
+//! v6report check [STEM...] [--reports DIR] [--fresh-out DIR] [--threads N]
+//! v6report diff  <before.json> <after.json>
 //! ```
 //!
 //! `emit` regenerates the committed goldens under `reports/`: one
 //! manifest per canonical sweep (the 66-cell clean matrix plus every
-//! impaired fault variant) and the 100k sampled-population census.
-//! Wall-clock figures are not manifests; `perfbench` measures them.
-//! `check` re-runs the same sweeps fresh, writes the fresh manifests
-//! under `--fresh-out` (default `target/reports`, uploaded as a CI
-//! artifact on failure) and exits nonzero on gated drift, naming every
-//! drifted field. With positional STEM arguments (`v6report check
-//! matrix_broken-delegation`) only the named goldens are re-run — the
-//! per-sweep CI lanes use this to gate just their own manifest without
-//! paying for the full canonical set. `diff` classifies the drift
-//! between two manifest files without running anything.
+//! impaired fault variant), the 100k sampled-population census, and
+//! `experiments.json`, every row of the paper's figures, tables and
+//! ablations. Wall-clock figures are not manifests; `perfbench`
+//! measures them. `check` re-runs the same goldens fresh, writes the
+//! fresh manifests under `--fresh-out` (default `target/reports`,
+//! uploaded as a CI artifact on failure) and exits nonzero on any
+//! drift, naming every drifted field. With positional STEM arguments
+//! (`v6report check matrix_broken-delegation`) only the named goldens
+//! are re-run — the per-sweep CI lanes use this to gate just their own
+//! manifest without paying for the full canonical set. `diff` lists the
+//! drift between two manifest files without running anything.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use v6report::{diff_manifests, DiffConfig, DriftClass, MatrixSpec, RunManifest};
+use v6report::{diff_manifests, MatrixSpec, RunManifest};
 use v6testbed::scenario::FaultVariant;
 
 fn default_threads() -> usize {
@@ -36,7 +37,6 @@ struct Args {
     positional: Vec<String>,
     reports: PathBuf,
     fresh_out: PathBuf,
-    cfg: DiffConfig,
     threads: usize,
 }
 
@@ -48,7 +48,6 @@ fn parse_args() -> Result<Args, String> {
         positional: Vec::new(),
         reports: PathBuf::from("reports"),
         fresh_out: PathBuf::from("target/reports"),
-        cfg: DiffConfig::default(),
         threads: default_threads(),
     };
     while let Some(flag) = argv.next() {
@@ -59,11 +58,6 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--out" | "--reports" => args.reports = PathBuf::from(value(&flag)?),
             "--fresh-out" => args.fresh_out = PathBuf::from(value(&flag)?),
-            "--tolerance" => {
-                args.cfg.counter_tolerance = value(&flag)?
-                    .parse()
-                    .map_err(|e| format!("--tolerance: {e}"))?
-            }
             "--threads" => {
                 args.threads = value(&flag)?
                     .parse()
@@ -78,18 +72,10 @@ fn parse_args() -> Result<Args, String> {
 
 fn usage() -> String {
     "usage: v6report <emit|check|diff> [flags]\n\
-     \x20 emit  [--out DIR]\n\
-     \x20 check [STEM...] [--reports DIR] [--fresh-out DIR] [--tolerance F] [--threads N]\n\
-     \x20 diff  <before.json> <after.json> [--tolerance F]"
+     \x20 emit  [--out DIR] [--threads N]\n\
+     \x20 check [STEM...] [--reports DIR] [--fresh-out DIR] [--threads N]\n\
+     \x20 diff  <before.json> <after.json>"
         .to_string()
-}
-
-/// Every committed matrix manifest, in emit/check order.
-fn canonical_specs() -> Vec<MatrixSpec> {
-    FaultVariant::ALL
-        .iter()
-        .map(|&fault| MatrixSpec::canonical(fault))
-        .collect()
 }
 
 fn write_manifest(dir: &Path, stem: &str, manifest: &RunManifest) -> Result<PathBuf, String> {
@@ -100,26 +86,49 @@ fn write_manifest(dir: &Path, stem: &str, manifest: &RunManifest) -> Result<Path
     Ok(path)
 }
 
-/// File stem of the committed sampled-population golden.
-fn population_stem() -> String {
-    format!("population_{}k", v6report::CANONICAL_POPULATION_SIZE / 1000)
+/// One committed golden: its file stem and how to regenerate it.
+struct Golden {
+    stem: String,
+    run: Box<dyn Fn(usize) -> RunManifest>,
+}
+
+/// Every committed golden, in emit/check order: the matrix sweeps, the
+/// sampled population, the paper's experiment rows.
+fn goldens() -> Vec<Golden> {
+    let mut all: Vec<Golden> = FaultVariant::ALL
+        .into_iter()
+        .map(|fault| {
+            let spec = MatrixSpec::canonical(fault);
+            Golden {
+                stem: spec.file_stem(),
+                run: Box::new(move |threads| RunManifest::run_matrix(&spec, threads)),
+            }
+        })
+        .collect();
+    all.push(Golden {
+        stem: format!("population_{}k", v6report::CANONICAL_POPULATION_SIZE / 1000),
+        run: Box::new(|threads| {
+            RunManifest::run_population(&v6report::canonical_population(), threads)
+        }),
+    });
+    all.push(Golden {
+        stem: "experiments".into(),
+        run: Box::new(|_threads| RunManifest::run_experiments()),
+    });
+    all
 }
 
 fn emit(args: &Args) -> Result<(), String> {
-    for spec in canonical_specs() {
-        let manifest = RunManifest::run_matrix(&spec, args.threads);
-        let path = write_manifest(&args.reports, &spec.file_stem(), &manifest)?;
+    for golden in goldens() {
+        let path = write_manifest(&args.reports, &golden.stem, &(golden.run)(args.threads))?;
         println!("emitted {}", path.display());
     }
-    let population = RunManifest::run_population(&v6report::canonical_population(), args.threads);
-    let path = write_manifest(&args.reports, &population_stem(), &population)?;
-    println!("emitted {}", path.display());
     Ok(())
 }
 
 /// Compare `fresh` against the committed manifest at `path`. Returns
 /// whether the gate passed.
-fn check_one(path: &Path, fresh: &RunManifest, cfg: &DiffConfig) -> Result<bool, String> {
+fn check_one(path: &Path, fresh: &RunManifest) -> Result<bool, String> {
     let committed_text = std::fs::read_to_string(path).map_err(|e| {
         format!(
             "read {}: {e} (run `just bless-reports` to create the goldens)",
@@ -137,69 +146,46 @@ fn check_one(path: &Path, fresh: &RunManifest, cfg: &DiffConfig) -> Result<bool,
         // Same data, different bytes: a manifest written by some other
         // serializer. Canonical form is part of the contract.
         println!("DRIFT {}: non-canonical serialization", path.display());
-        return Ok(false);
+    } else {
+        println!(
+            "DRIFT {}: {} drifted field(s)",
+            path.display(),
+            report.drifts.len()
+        );
+        print!("{}", report.render());
     }
-    let gated = report.gated(cfg);
-    let behavioural = report
-        .drifts
-        .iter()
-        .filter(|d| d.class == DriftClass::Behavioural)
-        .count();
-    println!(
-        "{} {}: {} drifted field(s), {} behavioural",
-        if gated { "DRIFT" } else { "note " },
-        path.display(),
-        report.drifts.len(),
-        behavioural,
-    );
-    print!("{}", report.render(cfg));
-    Ok(!gated)
+    Ok(false)
 }
 
 fn check(args: &Args) -> Result<bool, String> {
-    // No positionals → the full canonical set; otherwise only the named
-    // stems run (a per-sweep CI lane gates just its own manifest).
-    let want = |stem: &str| args.positional.is_empty() || args.positional.iter().any(|s| s == stem);
-    let mut matched = 0usize;
-    let mut all_ok = true;
-    for spec in canonical_specs() {
-        if !want(&spec.file_stem()) {
-            continue;
-        }
-        matched += 1;
-        let fresh = RunManifest::run_matrix(&spec, args.threads);
-        // Always persist the fresh manifest: on drift, CI uploads these
-        // for post-mortem diffing against the committed goldens.
-        write_manifest(&args.fresh_out, &spec.file_stem(), &fresh)?;
-        let committed = args.reports.join(format!("{}.json", spec.file_stem()));
-        all_ok &= check_one(&committed, &fresh, &args.cfg)?;
-    }
-    if want(&population_stem()) {
-        matched += 1;
-        let fresh = RunManifest::run_population(&v6report::canonical_population(), args.threads);
-        write_manifest(&args.fresh_out, &population_stem(), &fresh)?;
-        let committed = args.reports.join(format!("{}.json", population_stem()));
-        all_ok &= check_one(&committed, &fresh, &args.cfg)?;
-    }
+    let goldens = goldens();
     // A misspelled stem silently gating nothing would read as a pass;
     // make it an explicit error instead.
-    if !args.positional.is_empty() && matched < args.positional.len() {
-        let known: Vec<String> = canonical_specs()
-            .iter()
-            .map(MatrixSpec::file_stem)
-            .chain([population_stem()])
-            .collect();
-        let unknown: Vec<&String> = args
-            .positional
-            .iter()
-            .filter(|s| !known.contains(s))
-            .collect();
-        if !unknown.is_empty() {
-            return Err(format!(
-                "unknown manifest stem(s) {unknown:?}; known: {}",
-                known.join(", ")
-            ));
-        }
+    let unknown: Vec<&String> = args
+        .positional
+        .iter()
+        .filter(|s| !goldens.iter().any(|g| &g.stem == *s))
+        .collect();
+    if !unknown.is_empty() {
+        let known: Vec<&str> = goldens.iter().map(|g| g.stem.as_str()).collect();
+        return Err(format!(
+            "unknown manifest stem(s) {unknown:?}; known: {}",
+            known.join(", ")
+        ));
+    }
+    // No positionals → the full canonical set; otherwise only the named
+    // stems run (a per-sweep CI lane gates just its own manifest).
+    let mut all_ok = true;
+    for golden in goldens
+        .iter()
+        .filter(|g| args.positional.is_empty() || args.positional.contains(&g.stem))
+    {
+        let fresh = (golden.run)(args.threads);
+        // Always persist the fresh manifest: on drift, CI uploads these
+        // for post-mortem diffing against the committed goldens.
+        write_manifest(&args.fresh_out, &golden.stem, &fresh)?;
+        let committed = args.reports.join(format!("{}.json", golden.stem));
+        all_ok &= check_one(&committed, &fresh)?;
     }
     Ok(all_ok)
 }
@@ -217,8 +203,8 @@ fn diff(args: &Args) -> Result<bool, String> {
         println!("identical: {before_path} == {after_path}");
         return Ok(true);
     }
-    print!("{}", report.render(&args.cfg));
-    Ok(!report.gated(&args.cfg))
+    print!("{}", report.render());
+    Ok(false)
 }
 
 fn main() -> ExitCode {

@@ -1,5 +1,5 @@
 //! Building [`RunManifest`]s — the canonical, committed description of
-//! one fleet, population or soak run.
+//! one fleet, population or soak run, or of the paper's experiment rows.
 //!
 //! A manifest is the machine-checkable statement "the paper's behaviour
 //! held on this run": which configuration was exercised (config digests
@@ -266,6 +266,28 @@ impl RunManifest {
         RunManifest(root)
     }
 
+    /// Run every paper experiment ([`v6testbed::experiments::paper_rows`])
+    /// and build the `paper-experiments` manifest: one `{id, row}` entry
+    /// per rendered row, in print order. The rows are simulated
+    /// quantities only, so the committed `reports/experiments.json` is
+    /// exact.
+    pub fn run_experiments() -> RunManifest {
+        let rows = v6testbed::experiments::paper_rows()
+            .into_iter()
+            .map(|(id, text)| {
+                let mut row = Json::obj();
+                row.set("id", Json::Str(id.into()));
+                row.set("row", Json::Str(text));
+                row
+            })
+            .collect();
+        let mut root = Json::obj();
+        root.set("schema", Json::U64(SCHEMA_VERSION));
+        root.set("kind", Json::Str("paper-experiments".into()));
+        root.set("rows", Json::Arr(rows));
+        RunManifest(root)
+    }
+
     /// Wrap an already-parsed manifest document.
     pub fn from_json(v: Json) -> RunManifest {
         RunManifest(v)
@@ -381,9 +403,9 @@ fn verdict_rows(scenarios: &[Scenario], report: &FleetReport) -> Json {
             row.set("degraded", Json::Bool(r.verdict.degraded));
             row.set("completed_us", Json::U64(r.verdict.completed_us));
             row.set("events", Json::U64(r.verdict.events));
-            // One digest over the *entire* rendered MetricsSnapshot —
-            // every engine, fault, pool, trace, and per-node counter of
-            // this cell. Any counter drift anywhere moves this field.
+            // One digest over the rendered MetricsSnapshot — every
+            // engine, fault, and per-node counter of this cell. Any
+            // counter drift anywhere moves this field.
             row.set("metrics_digest", hex(fnv1a(&r.metrics.to_string())));
             row
         })
@@ -426,17 +448,6 @@ fn metrics_section(report: &FleetReport) -> Json {
     fault.set("truncated", Json::U64(totals.faults.truncated));
     fault.set("outage_micros", Json::U64(totals.faults.outage_micros));
 
-    let mut pool = Json::obj();
-    pool.set("allocated", Json::U64(totals.pool.allocated));
-    pool.set("reused", Json::U64(totals.pool.reused));
-
-    let mut trace = Json::obj();
-    trace.set("suppressed", Json::U64(totals.trace.suppressed));
-    trace.set(
-        "capture_suppressed",
-        Json::U64(totals.trace.capture_suppressed),
-    );
-
     let (tx, rx) = totals.conservation();
     let mut conservation = Json::obj();
     conservation.set("frames_tx", Json::U64(tx));
@@ -469,8 +480,6 @@ fn metrics_section(report: &FleetReport) -> Json {
     let mut metrics = Json::obj();
     metrics.set("engine", engine);
     metrics.set("fault", fault);
-    metrics.set("pool", pool);
-    metrics.set("trace", trace);
     metrics.set("conservation", conservation);
     metrics.set("nodes", nodes);
     metrics

@@ -55,24 +55,6 @@ impl FaultCounters {
     pub fn total_dropped(&self) -> u64 {
         self.dropped + self.outage_dropped
     }
-
-    /// The counters in [`v6wire::metrics::Metrics`] form, under the
-    /// canonical `fault.*` names. Empty when nothing was injected, so
-    /// merging it into a clean snapshot changes nothing.
-    pub fn as_metrics(&self) -> Metrics {
-        use v6wire::metrics::fault_names as n;
-        [
-            (n::DROPPED, self.dropped),
-            (n::OUTAGE_DROPPED, self.outage_dropped),
-            (n::DELAYED, self.delayed),
-            (n::DUPLICATED, self.duplicated),
-            (n::CORRUPTED, self.corrupted),
-            (n::TRUNCATED, self.truncated),
-            (n::OUTAGE_SECS, self.outage_micros / 1_000_000),
-        ]
-        .into_iter()
-        .collect()
-    }
 }
 
 /// Frame-buffer pool totals for the whole network. `reused` growing while
@@ -86,30 +68,6 @@ pub struct PoolCounters {
     pub reused: u64,
 }
 
-impl PoolCounters {
-    /// Fraction of buffer requests served without allocating, in
-    /// `[0, 1]` (zero when no buffers were ever requested).
-    pub fn reuse_ratio(&self) -> f64 {
-        let total = self.allocated + self.reused;
-        if total == 0 {
-            0.0
-        } else {
-            self.reused as f64 / total as f64
-        }
-    }
-
-    /// The counters under their canonical `pool.*` names.
-    pub fn as_metrics(&self) -> Metrics {
-        use v6wire::metrics::engine_names as n;
-        [
-            (n::POOL_ALLOCATED, self.allocated),
-            (n::POOL_REUSED, self.reused),
-        ]
-        .into_iter()
-        .collect()
-    }
-}
-
 /// Trace/capture bookkeeping: hops and frames *not* recorded because the
 /// respective cap was reached. Mode `Off` records nothing and suppresses
 /// nothing — these count only cap overflow, so they are identical across
@@ -120,19 +78,6 @@ pub struct TraceCounters {
     pub suppressed: u64,
     /// Frames not pcap-captured because `capture_limit` was reached.
     pub capture_suppressed: u64,
-}
-
-impl TraceCounters {
-    /// The counters under their canonical `trace.*` / `capture.*` names.
-    pub fn as_metrics(&self) -> Metrics {
-        use v6wire::metrics::engine_names as n;
-        [
-            (n::TRACE_SUPPRESSED, self.suppressed),
-            (n::CAPTURE_SUPPRESSED, self.capture_suppressed),
-        ]
-        .into_iter()
-        .collect()
-    }
 }
 
 /// The engine's physical-layer view of one node.
@@ -196,16 +141,14 @@ impl MetricsSnapshot {
     pub fn total_frames_rx(&self) -> u64 {
         self.nodes.iter().map(|n| n.link.frames_rx).sum()
     }
-
-    /// The injected-fault totals as named `fault.*` counters.
-    pub fn fault_metrics(&self) -> Metrics {
-        self.faults.as_metrics()
-    }
 }
 
 impl fmt::Display for MetricsSnapshot {
     /// Stable text form: engine totals, then one block per node in id
-    /// order with device counters in name order.
+    /// order with device counters in name order. The pool and trace
+    /// counters are left out: they describe how the engine allocated and
+    /// what it recorded, not what the network did, and this text is what
+    /// the committed manifests digest.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let e = &self.engine;
         writeln!(
@@ -218,20 +161,6 @@ impl fmt::Display for MetricsSnapshot {
             e.timers_fired,
             e.queue_high_water,
         )?;
-        if self.pool != PoolCounters::default() {
-            writeln!(
-                f,
-                "pool: allocated={} reused={}",
-                self.pool.allocated, self.pool.reused,
-            )?;
-        }
-        if self.trace != TraceCounters::default() {
-            writeln!(
-                f,
-                "trace: suppressed={} capture_suppressed={}",
-                self.trace.suppressed, self.trace.capture_suppressed,
-            )?;
-        }
         // Clean runs render exactly as they always did; the fault line
         // only appears once something was actually injected.
         if self.faults != FaultCounters::default() {
@@ -266,5 +195,48 @@ impl fmt::Display for MetricsSnapshot {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn snapshot(pool: PoolCounters, trace: TraceCounters) -> MetricsSnapshot {
+        MetricsSnapshot {
+            engine: EngineMetrics {
+                events_processed: 12,
+                frames_delivered: 5,
+                ..EngineMetrics::default()
+            },
+            faults: FaultCounters::default(),
+            pool,
+            trace,
+            nodes: vec![NodeMetrics {
+                name: "pi".into(),
+                link: LinkCounters {
+                    frames_tx: 3,
+                    ..LinkCounters::default()
+                },
+                device: [("dns.queries", 2)].into_iter().collect(),
+            }],
+        }
+    }
+
+    #[test]
+    fn pool_and_trace_counters_do_not_render() {
+        let quiet = snapshot(PoolCounters::default(), TraceCounters::default());
+        let busy = snapshot(
+            PoolCounters {
+                allocated: 7,
+                reused: 900,
+            },
+            TraceCounters {
+                suppressed: 4,
+                capture_suppressed: 1,
+            },
+        );
+        assert_ne!(quiet, busy, "the snapshots themselves still differ");
+        assert_eq!(quiet.to_string(), busy.to_string());
     }
 }

@@ -3,15 +3,20 @@
 //! Every function builds a fresh deterministic testbed, drives the client
 //! tasks the paper describes, and returns a structured result with a
 //! `render()` that prints the same rows the paper reports. The integration
-//! tests under `/tests` assert on these results; the bench harness times
-//! and prints them.
+//! tests under `/tests` assert on these results; [`paper_rows`] lists
+//! every rendered row, which `v6report` commits as the
+//! `reports/experiments.json` golden and EXPERIMENTS.md quotes.
 
 use crate::census::{census, CensusSummary};
+use crate::scenario::PoisonVariant;
 use crate::topology::{Testbed, TestbedConfig};
-use crate::zones::addrs;
+use crate::zones::{addrs, internet_dns};
 use std::net::{IpAddr, Ipv6Addr};
-use v6dns::codec::RType;
-use v6dns::poison::PoisonPolicy;
+use v6dns::codec::{Question, RData, RType, Rcode};
+use v6dns::dns64::Dns64;
+use v6dns::poison::{PoisonPolicy, PoisonedResolver};
+use v6dns::server::Resolver;
+use v6dns::zone::Zone;
 use v6host::profiles::OsProfile;
 use v6host::tasks::{AppTask, TaskOutcome};
 use v6host::vpn::VpnConfig;
@@ -747,4 +752,161 @@ impl Fig2Census {
             self.overcount
         )
     }
+}
+
+// ---------------------------------------------------------------------
+// ABL-1 — NXDOMAIN fidelity per poisoning policy
+// ---------------------------------------------------------------------
+
+/// One poisoning policy's answers on an existing and a non-existent name.
+#[derive(Debug)]
+pub struct Abl1Row {
+    /// Policy label (`wildcard-a` / `rpz`).
+    pub policy: &'static str,
+    /// The existing name got an answer.
+    pub existing_answered: bool,
+    /// The suffixed non-existent name stayed NXDOMAIN.
+    pub nonexistent_nxdomain: bool,
+}
+
+impl Abl1Row {
+    /// Paper-style row.
+    pub fn render(&self) -> String {
+        format!(
+            "ABL1 {:<12} existing-name=answered({}) nonexistent-name={}",
+            self.policy,
+            self.existing_answered,
+            if self.nonexistent_nxdomain {
+                "NXDOMAIN (faithful)"
+            } else {
+                "answered (the Fig. 9 defect)"
+            }
+        )
+    }
+}
+
+/// ABL-1: dnsmasq's wildcard-A answers names that do not exist (the
+/// Fig. 9 artefact); the conclusion's RPZ rewrite only touches names
+/// the upstream knows, so NXDOMAIN survives.
+pub fn abl1_nxdomain_fidelity() -> Vec<Abl1Row> {
+    [PoisonVariant::WildcardA, PoisonVariant::Rpz]
+        .into_iter()
+        .map(|variant| {
+            let mut r = PoisonedResolver::new(Dns64::well_known(internet_dns()), variant.policy());
+            let mut ask = |name: &str| {
+                r.resolve(
+                    &Question::new(name.parse().expect("static name"), RType::A),
+                    0,
+                )
+            };
+            let exists = ask("vpn.anl.gov");
+            let ghost = ask("vpn.anl.gov.rfc8925.com");
+            Abl1Row {
+                policy: variant.label(),
+                existing_answered: !exists.records.is_empty(),
+                nonexistent_nxdomain: ghost.rcode == Rcode::NxDomain,
+            }
+        })
+        .collect()
+}
+
+// ---------------------------------------------------------------------
+// ABL-2 — legacy vs RFC 8925-aware scoring across client classes
+// ---------------------------------------------------------------------
+
+/// ABL-2: the mirror test under wildcard-A poisoning for one client of
+/// each class, scored both ways. Only the RFC 8925 client keeps 10/10
+/// under the revised logic.
+pub fn abl2_scoring_matrix() -> Vec<ScoringResult> {
+    [
+        OsProfile::macos(),
+        OsProfile::windows_10(),
+        OsProfile::windows_xp(),
+        OsProfile::windows_10_v6_disabled(),
+        OsProfile::nintendo_switch(),
+    ]
+    .into_iter()
+    .map(|profile| run_mirror_test(profile, PoisonVariant::WildcardA.policy()))
+    .collect()
+}
+
+// ---------------------------------------------------------------------
+// ABL-3 — Happy Eyeballs (RFC 8305) fallback latency
+// ---------------------------------------------------------------------
+
+/// ABL-3: a dual-stack Windows 10 client browses `brokenv6.test`, whose
+/// AAAA is black-holed and whose A record works. Returns the outcome
+/// and the simulated milliseconds the browse took, with RFC 8305
+/// Happy Eyeballs on (`he`) or off (serial fallback).
+pub fn abl3_happy_eyeballs(he: bool) -> (TaskOutcome, u64) {
+    let mut tb = Testbed::paper_default();
+    let mut profile = OsProfile::windows_10();
+    profile.happy_eyeballs = he;
+    let id = tb.add_host(profile);
+    let mut z = Zone::new("brokenv6.test".parse().expect("static name"), 60);
+    // 2602:dead::1 has no route on the internet core: SYNs vanish.
+    z.add_str(
+        "@",
+        60,
+        RData::Aaaa("2602:dead::1".parse().expect("static")),
+    );
+    // The A record points at the (reachable) sc24 web server.
+    z.add_str("@", 60, RData::A(addrs::SC24_V4.parse().expect("static")));
+    tb.pi_server()
+        .healthy
+        .upstream_mut()
+        .upstream_mut()
+        .add_zone(z);
+    tb.boot();
+    let start = tb.net.now();
+    let outcome = tb.run_task(id, browse("brokenv6.test"), 25);
+    (outcome, (tb.net.now() - start).as_millis())
+}
+
+// ---------------------------------------------------------------------
+// Every row, in order
+// ---------------------------------------------------------------------
+
+/// Every paper row — Figs. 2–11, TBL-A, TBL-B and the three ablations —
+/// as `(id, row)` pairs in print order. Rows carry simulated quantities
+/// only, so the list is a pure function of the code.
+pub fn paper_rows() -> Vec<(&'static str, String)> {
+    let mut rows = vec![
+        ("FIG2", fig2_literal_v4_census().render()),
+        ("FIG3", fig3_ra_workaround(false).render()),
+        ("FIG3", fig3_ra_workaround(true).render()),
+    ];
+    rows.extend(fig4_topology_matrix().iter().map(|r| ("FIG4", r.render())));
+    rows.push(("FIG5", fig5_erroneous_score().render()));
+    rows.push(("FIG6", fig6_switch_intervention().render()));
+    rows.push(("FIG7", fig7_winxp_nat64().render()));
+    for blocked in [false, true] {
+        rows.push(("FIG8", fig8_vpn_split_tunnel(blocked).render()));
+    }
+    for variant in [PoisonVariant::WildcardA, PoisonVariant::Rpz] {
+        rows.push(("FIG9", fig9_poisoned_nxdomain(variant.policy()).render()));
+    }
+    rows.extend(
+        fig10_resolver_preference()
+            .iter()
+            .map(|r| ("FIG10", r.render())),
+    );
+    rows.push(("FIG11", fig11_vpn_zero_score().render()));
+    rows.extend(tbl_a_device_matrix().iter().map(|r| ("TBL-A", r.render())));
+    rows.push(("TBL-B", tbl_b_census().render()));
+    rows.extend(
+        abl1_nxdomain_fidelity()
+            .iter()
+            .map(|r| ("ABL-1", r.render())),
+    );
+    rows.extend(abl2_scoring_matrix().iter().map(|r| ("ABL-2", r.render())));
+    let (_, serial_ms) = abl3_happy_eyeballs(false);
+    let (_, he_ms) = abl3_happy_eyeballs(true);
+    rows.push((
+        "ABL-3",
+        format!(
+            "ABL3 serial-fallback={serial_ms} ms happy-eyeballs={he_ms} ms (simulated user-perceived latency)"
+        ),
+    ));
+    rows
 }

@@ -92,40 +92,6 @@ impl Metrics {
     }
 }
 
-/// Canonical counter names for injected faults (`v6fault` via the
-/// `v6sim` link layer). Defined here so every layer — engine, fleet
-/// reports, examples — agrees on the spelling.
-pub mod fault_names {
-    /// Frames dropped by random loss.
-    pub const DROPPED: &str = "fault.dropped";
-    /// Frames dropped inside a scheduled outage window.
-    pub const OUTAGE_DROPPED: &str = "fault.outage_dropped";
-    /// Frames delivered late (fixed latency, jitter, or reordering).
-    pub const DELAYED: &str = "fault.delayed";
-    /// Extra copies delivered beyond the original frame.
-    pub const DUPLICATED: &str = "fault.duplicated";
-    /// Frames delivered with a flipped payload byte.
-    pub const CORRUPTED: &str = "fault.corrupted";
-    /// Frames delivered cut to half length.
-    pub const TRUNCATED: &str = "fault.truncated";
-    /// Whole seconds of scheduled outage elapsed so far.
-    pub const OUTAGE_SECS: &str = "fault.outage_secs";
-}
-
-/// Canonical counter names for the `v6sim` engine's own bookkeeping —
-/// the frame-buffer pool and the trace/capture caps. Defined here, next
-/// to [`fault_names`], so every layer agrees on the spelling.
-pub mod engine_names {
-    /// Fresh frame buffers allocated because the pool was empty.
-    pub const POOL_ALLOCATED: &str = "pool.allocated";
-    /// Frame buffers served from the recycle pool.
-    pub const POOL_REUSED: &str = "pool.reused";
-    /// Trace hops dropped because the trace cap was reached.
-    pub const TRACE_SUPPRESSED: &str = "trace.suppressed";
-    /// Frames not pcap-captured because the capture cap was reached.
-    pub const CAPTURE_SUPPRESSED: &str = "capture.suppressed";
-}
-
 impl fmt::Display for Metrics {
     /// One `name=value` pair per line, in name order — the stable form
     /// used by golden tests and fleet-report comparison.

@@ -22,8 +22,9 @@ lint:
     cargo fmt --all --check
 
 # Emit fresh canonical run manifests (clean matrix, every fault
-# variant, the 100k sampled population) into target/reports for
-# inspection — never touches the committed goldens.
+# variant, the 100k sampled population, the paper's experiment rows)
+# into target/reports for inspection — never touches the committed
+# goldens.
 report:
     cargo run --release -p v6report -- emit --out target/reports
 
@@ -34,10 +35,13 @@ report:
 report-check:
     cargo run --release -p v6report -- check
 
-# Regenerate the committed reports/*.json goldens after a deliberate
-# behaviour change (review the fixture diff, same as bless-traces!).
+# Regenerate every committed reports/*.json golden after a deliberate
+# behaviour change: the five matrix sweeps, the 100k population, the
+# paper's experiment rows, and the lab-daemon soak (review the fixture
+# diff, same as bless-traces!).
 bless-reports:
     cargo run --release -p v6report -- emit
+    cargo run --release -p v6labd -- soak --write reports/soak_smoke.json
 
 # Everything in the workspace, including property tests.
 test-all:
@@ -82,11 +86,6 @@ bench:
     cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload census --seed 1 --seconds 50 --trace 0
     cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload matrix --seed 1 --seconds 50 --trace 0
 
-# One iteration of every bench body — proves the benches still run
-# without paying for full sampling (what CI executes).
-bench-smoke:
-    cargo bench -p v6bench -- --test
-
 # The codec-conformance pass at CI depth: the one frame parser and the
 # one DNS parser against the pinned outcomes of the committed corpus,
 # plus 256 proptest cases per suite (the checksum kernel-equality tests
@@ -130,8 +129,3 @@ labd:
 # Full service lifecycle over real HTTP + SIGTERM (what CI runs).
 service-smoke:
     bash scripts/service_smoke.sh
-
-# Regenerate the committed soak golden (reports/soak_smoke.json) after
-# a deliberate behaviour change (review the fixture diff!).
-bless-soak:
-    cargo run --release -p v6labd -- soak --write reports/soak_smoke.json

@@ -5,45 +5,10 @@
 //! HE only changes *when* the fallback launches.)
 
 use std::net::IpAddr;
-use v6dns::codec::RData;
-use v6dns::zone::Zone;
 use v6host::profiles::OsProfile;
 use v6host::tasks::{AppTask, TaskOutcome};
+use v6testbed::experiments::abl3_happy_eyeballs as run;
 use v6testbed::Testbed;
-
-/// Add a zone whose AAAA is black-holed but whose A record works.
-fn add_broken_v6_site(tb: &mut Testbed) {
-    let mut z = Zone::new("brokenv6.test".parse().unwrap(), 60);
-    // 2602:dead::1 has no route on the internet core: SYNs vanish.
-    z.add_str("@", 60, RData::Aaaa("2602:dead::1".parse().unwrap()));
-    // The A record points at the (reachable) sc24 web server.
-    z.add_str("@", 60, RData::A("190.92.158.4".parse().unwrap()));
-    tb.pi_server()
-        .healthy
-        .upstream_mut()
-        .upstream_mut()
-        .add_zone(z);
-}
-
-fn run(he: bool) -> (TaskOutcome, u64) {
-    let mut tb = Testbed::paper_default();
-    let mut profile = OsProfile::windows_10();
-    profile.happy_eyeballs = he;
-    let id = tb.add_host(profile);
-    add_broken_v6_site(&mut tb);
-    tb.boot();
-    let start = tb.net.now();
-    let o = tb.run_task(
-        id,
-        AppTask::Browse {
-            name: "brokenv6.test".parse().unwrap(),
-            path: "/".into(),
-        },
-        25,
-    );
-    let elapsed_ms = (tb.net.now() - start).as_millis();
-    (o, elapsed_ms)
-}
 
 #[test]
 fn both_modes_eventually_fall_back_to_v4() {
