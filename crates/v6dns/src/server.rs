@@ -96,16 +96,6 @@ impl Answer {
         }
     }
 
-    /// NOERROR/NODATA with authority SOA.
-    pub fn nodata(soa: Record) -> Answer {
-        Answer {
-            rcode: Rcode::NoError,
-            records: Vec::new(),
-            soa: Some(soa),
-            reason: None,
-        }
-    }
-
     /// Server failure.
     pub fn servfail() -> Answer {
         Answer {

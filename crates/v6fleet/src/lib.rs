@@ -15,6 +15,12 @@
 //! differ run to run, live in the separate [`WallStats`] and never
 //! participate in report comparison.
 //!
+//! Every cell runs untraced on one path: a worker's [`CellArena`]
+//! recycles a testbed per (topology, poison) build and collects the
+//! full [`ScenarioResult`], which carries its cell, verdict and metrics
+//! snapshot but no frame trace. A single cell's trace comes from
+//! building a [`v6testbed::Testbed`] with the trace mode wanted.
+//!
 //! ```
 //! use v6fleet::FleetRunner;
 //! use v6testbed::Scenario;
@@ -36,8 +42,8 @@ pub use sketch::{nearest_rank, CensusSketch, LatencySketch, SketchPercentiles};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use v6testbed::scenario::ResolutionFailure;
-use v6testbed::{CellArena, CellObservation, Scenario, ScenarioResult, TraceMode};
+use v6testbed::scenario::{os_profiles, ResolutionFailure};
+use v6testbed::{CellArena, CellObservation, OsProfileId, Scenario, ScenarioResult};
 
 /// Streaming hooks into a running fleet: an observer shared across the
 /// pool's workers, notified as each unit of work completes and *before*
@@ -80,37 +86,18 @@ impl FleetObserver for NoopObserver {}
 #[derive(Debug, Clone, Copy)]
 pub struct FleetRunner {
     threads: usize,
-    trace_mode: TraceMode,
 }
 
 impl FleetRunner {
-    /// A runner with `threads` workers (at least one). Scenarios run
-    /// under [`TraceMode::Hops`] — trace verbosity never perturbs the
-    /// simulation, so the report is identical in every mode; use
-    /// [`FleetRunner::with_trace_mode`] to pick `Off` (fastest) or
-    /// `Full` (eager per-frame summaries).
+    /// A runner with `threads` workers (at least one).
     pub fn new(threads: usize) -> FleetRunner {
         assert!(threads >= 1, "a fleet needs at least one worker");
-        FleetRunner {
-            threads,
-            trace_mode: TraceMode::Hops,
-        }
-    }
-
-    /// The same runner with an explicit engine trace mode.
-    pub fn with_trace_mode(mut self, trace_mode: TraceMode) -> FleetRunner {
-        self.trace_mode = trace_mode;
-        self
+        FleetRunner { threads }
     }
 
     /// Number of worker threads this runner spawns.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The engine trace mode scenarios run under.
-    pub fn trace_mode(&self) -> TraceMode {
-        self.trace_mode
     }
 
     /// Run every scenario and aggregate.
@@ -133,9 +120,8 @@ impl FleetRunner {
     /// compare against).
     pub fn run_observed(&self, scenarios: &[Scenario], observer: &dyn FleetObserver) -> FleetRun {
         let started = Instant::now();
-        let mode = self.trace_mode;
-        let results = run_pool(self.threads, scenarios, |arena, i, s| {
-            let r = arena.run_with_trace(s, mode);
+        let results = run_pool(self.threads, scenarios, |arena, i, &s| {
+            let r = arena.run(s);
             observer.scenario_done(i, &r);
             r
         });
@@ -367,15 +353,12 @@ impl FleetReport {
     /// or degrade under the injected faults. The per-profile rows are
     /// what the clean-vs-impaired diff in `examples/fleet_census.rs`
     /// compares.
-    pub fn census_by_os(&self) -> Vec<(String, FleetCensus)> {
-        let mut rows: std::collections::BTreeMap<&str, FleetCensus> =
-            std::collections::BTreeMap::new();
+    pub fn census_by_os(&self) -> Vec<(&'static str, FleetCensus)> {
+        let mut by_os = vec![FleetCensus::default(); os_profiles().len()];
         for r in &self.results {
-            rows.entry(&r.os).or_default().count(&r.verdict);
+            by_os[usize::from(r.scenario.os.0)].count(&r.verdict);
         }
-        rows.into_iter()
-            .map(|(os, row)| (os.to_string(), row))
-            .collect()
+        census_rows(&by_os)
     }
 
     /// Sum every per-scenario [`v6sim::metrics::MetricsSnapshot`] into
@@ -387,8 +370,8 @@ impl FleetReport {
     /// scenario runs its own event queue, so summing high-water marks
     /// would describe no real queue). Node rows are merged by node name
     /// and ordered by name, so the totals are independent of scenario
-    /// order, thread count, and trace mode — the same invariances the
-    /// per-scenario results already guarantee.
+    /// order and thread count — the same invariances the per-scenario
+    /// results already guarantee.
     pub fn metrics_totals(&self) -> FleetMetricsTotals {
         let mut engine = v6sim::metrics::EngineMetrics::default();
         let mut faults = v6sim::metrics::FaultCounters::default();
@@ -481,6 +464,20 @@ impl FleetReport {
     }
 }
 
+/// Per-OS census rows, indexed by [`OsProfileId`], as
+/// `(profile name, row)` pairs for every profile that appeared, sorted
+/// by name — the one rendering both [`FleetReport::census_by_os`] and
+/// [`PopulationReport::census_by_os`] use.
+pub(crate) fn census_rows(by_os: &[FleetCensus]) -> Vec<(&'static str, FleetCensus)> {
+    let mut rows: Vec<(&'static str, FleetCensus)> = OsProfileId::all()
+        .zip(by_os)
+        .filter(|(_, c)| c.associated > 0)
+        .map(|(id, c)| (id.name(), *c))
+        .collect();
+    rows.sort_by_key(|&(name, _)| name);
+    rows
+}
+
 /// One node's fleet-wide totals: engine link counters and device
 /// counters summed across every scenario the node appeared in.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -527,9 +524,7 @@ pub fn run_serial(scenarios: &[Scenario]) -> FleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use v6host::profiles::OsProfile;
     use v6testbed::scenario::{FaultVariant, PoisonVariant, TopologyVariant};
-    use v6testbed::Scenario;
 
     #[test]
     fn run_pool_returns_every_result_in_index_order() {
@@ -554,21 +549,17 @@ mod tests {
     }
 
     fn tiny_fleet() -> Vec<Scenario> {
-        [
-            OsProfile::macos(),
-            OsProfile::nintendo_switch(),
-            OsProfile::windows_10(),
-        ]
-        .into_iter()
-        .enumerate()
-        .map(|(i, os)| Scenario {
-            os,
-            topology: TopologyVariant::PaperDefault,
-            poison: PoisonVariant::WildcardA,
-            fault: FaultVariant::Clean,
-            seed: 0x900 + i as u64,
-        })
-        .collect()
+        ["macOS", "Nintendo Switch", "Windows 10"]
+            .into_iter()
+            .enumerate()
+            .map(|(i, os)| Scenario {
+                os: OsProfileId::by_name(os).expect("paper profile"),
+                topology: TopologyVariant::PaperDefault,
+                poison: PoisonVariant::WildcardA,
+                fault: FaultVariant::Clean,
+                seed: 0x900 + i as u64,
+            })
+            .collect()
     }
 
     #[test]

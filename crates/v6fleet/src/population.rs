@@ -20,7 +20,8 @@
 
 use crate::sketch::CensusSketch;
 use crate::{
-    run_pool, FleetCensus, FleetObserver, FleetRunner, NoopObserver, SketchPercentiles, WallStats,
+    census_rows, run_pool, FleetCensus, FleetObserver, FleetRunner, NoopObserver,
+    SketchPercentiles, WallStats,
 };
 use std::time::Instant;
 use v6testbed::scenario::FaultVariant;
@@ -248,16 +249,11 @@ pub struct PopulationReport {
 
 impl PopulationReport {
     /// Per-OS census rows for every profile that actually appeared,
-    /// sorted by profile name (matching
-    /// [`FleetReport::census_by_os`](crate::FleetReport::census_by_os)).
-    pub fn census_by_os(&self) -> Vec<(String, FleetCensus)> {
-        let mut rows: Vec<(String, FleetCensus)> = OsProfileId::all()
-            .zip(&self.sketch.by_os)
-            .filter(|(_, c)| c.associated > 0)
-            .map(|(id, c)| (id.name().to_string(), *c))
-            .collect();
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        rows
+    /// sorted by profile name (the same rows
+    /// [`FleetReport::census_by_os`](crate::FleetReport::census_by_os)
+    /// gives for the same cells).
+    pub fn census_by_os(&self) -> Vec<(&'static str, FleetCensus)> {
+        census_rows(&self.sketch.by_os)
     }
 
     /// Virtual completion-time percentiles (µs, sketch resolution).
@@ -352,11 +348,11 @@ pub struct PopulationRun {
 
 /// Fold one contiguous index range of the population into a sketch —
 /// the census hot loop. Cells run warm on the caller's [`CellArena`]:
-/// at most six distinct build configurations exist (topology × poison,
-/// trace always `Off`), so after the first few cells every cell runs on
-/// a recycled testbed. Warm observations are byte-identical to
-/// [`CellSpec::run_observation`] (the differential suite in
-/// `tests/warm_cold.rs` holds the line).
+/// at most six distinct build configurations exist (topology × poison),
+/// so after the first few cells every cell runs on a recycled testbed.
+/// Warm observations are byte-identical to
+/// [`CellSpec::run_observation`](v6testbed::Scenario::run_observation)
+/// (the differential suite in `tests/warm_cold.rs` holds the line).
 fn fold_range(arena: &mut CellArena, spec: &PopulationSpec, lo: u64, hi: u64) -> CensusSketch {
     let mut sketch = CensusSketch::new();
     for i in lo..hi {

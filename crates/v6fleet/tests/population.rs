@@ -167,7 +167,7 @@ fn report_is_identical_across_threads_and_shards() {
 fn streaming_census_equals_materialized_fleet() {
     let spec = PopulationSpec::paper_default(0xbeef, 12);
     let population = FleetRunner::new(1).run_population(&spec, 1).report;
-    let scenarios: Vec<_> = (0..spec.size).map(|i| spec.cell(i).to_scenario()).collect();
+    let scenarios: Vec<_> = (0..spec.size).map(|i| spec.cell(i)).collect();
     let fleet = v6fleet::run_serial(&scenarios);
     assert_eq!(population.sketch.census, fleet.census);
     assert_eq!(population.census_by_os(), fleet.census_by_os());

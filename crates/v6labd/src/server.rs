@@ -179,20 +179,17 @@ fn worker_loop(state: &Arc<LabState>) {
     let budget = (state.threads / state.workers).max(1);
     let runner = FleetRunner::new(budget);
     loop {
+        // `submit` and `begin_shutdown` both notify under or after the
+        // queue lock, so a sleeping worker cannot miss either wake-up.
         let id = {
-            let mut queue = state.queue.lock().expect("queue lock");
-            loop {
-                if let Some(id) = queue.pop_front() {
-                    break id;
-                }
-                if state.shutting_down() {
-                    return;
-                }
-                queue = state
-                    .queue_cv
-                    .wait_timeout(queue, Duration::from_millis(50))
-                    .expect("queue lock")
-                    .0;
+            let queue = state.queue.lock().expect("queue lock");
+            let mut queue = state
+                .queue_cv
+                .wait_while(queue, |q| q.is_empty() && !state.shutting_down())
+                .expect("queue lock");
+            match queue.pop_front() {
+                Some(id) => id,
+                None => return,
             }
         };
         run_one_job(state, &runner, id);

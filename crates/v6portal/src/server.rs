@@ -150,11 +150,6 @@ impl PortalServer {
         self.fetch_log.clear();
     }
 
-    /// Requests recorded for `host`.
-    pub fn fetches_for(&self, host: &str) -> Vec<&FetchRecord> {
-        self.fetch_log.iter().filter(|f| f.host == host).collect()
-    }
-
     fn render(&self, content: &VhostContent, req: &HttpRequest, peer: IpAddr) -> String {
         match content {
             VhostContent::Ip6MeEcho => {

@@ -8,9 +8,9 @@
 //! population counted (fleet census plus the per-OS breakdown), and
 //! what the engine counted while doing it (fleet-wide metrics sums, a
 //! per-cell digest of the full `MetricsSnapshot`, and the frame
-//! conservation identity). Nothing in it depends on wall-clock time,
-//! thread count, or trace verbosity, so the canonical rendering of two
-//! runs of the same seed is byte-identical — the property the CI drift
+//! conservation identity). Nothing in it depends on wall-clock time or
+//! thread count, so the canonical rendering of two runs of the same
+//! seed is byte-identical — the property the CI drift
 //! gate stands on.
 
 use crate::canon::Json;
@@ -166,17 +166,16 @@ impl RunManifest {
         scenarios: &[Scenario],
         report: &FleetReport,
     ) -> RunManifest {
-        assert_eq!(
-            scenarios.len(),
-            report.results.len(),
-            "one result per scenario"
+        assert!(
+            report.results.iter().map(|r| &r.scenario).eq(scenarios),
+            "one result per scenario, in order"
         );
         let mut root = Json::obj();
         root.set("schema", Json::U64(SCHEMA_VERSION));
         root.set("kind", Json::Str("fleet-matrix".into()));
         root.set("config", config_section(spec, scenarios));
         root.set("census", census_section(report));
-        root.set("verdicts", verdict_rows(scenarios, report));
+        root.set("verdicts", verdict_rows(report));
         root.set("metrics", metrics_section(report));
         root.set("timing", timing_section(report));
         RunManifest(root)
@@ -377,7 +376,7 @@ pub fn census_row(c: &FleetCensus) -> Json {
 fn census_section(report: &FleetReport) -> Json {
     let mut by_os = Json::obj();
     for (os, row) in report.census_by_os() {
-        by_os.set(&os, census_row(&row));
+        by_os.set(os, census_row(&row));
     }
     let mut census = Json::obj();
     census.set("fleet", census_row(&report.census));
@@ -385,14 +384,14 @@ fn census_section(report: &FleetReport) -> Json {
     census
 }
 
-fn verdict_rows(scenarios: &[Scenario], report: &FleetReport) -> Json {
-    let rows = scenarios
+fn verdict_rows(report: &FleetReport) -> Json {
+    let rows = report
+        .results
         .iter()
-        .zip(&report.results)
-        .map(|(s, r)| {
+        .map(|r| {
             let mut row = Json::obj();
-            row.set("cell", Json::Str(s.cell_label()));
-            row.set("seed", Json::U64(r.seed));
+            row.set("cell", Json::Str(r.scenario.cell_label()));
+            row.set("seed", Json::U64(r.scenario.seed));
             row.set("rfc8925_engaged", Json::Bool(r.verdict.rfc8925_engaged));
             row.set("has_v4", Json::Bool(r.verdict.has_v4));
             row.set("sc24", Json::Str(r.verdict.sc24.label().into()));
@@ -539,7 +538,7 @@ fn population_config_section(spec: &PopulationSpec) -> Json {
 fn population_census_section(report: &PopulationReport) -> Json {
     let mut by_os = Json::obj();
     for (os, row) in report.census_by_os() {
-        by_os.set(&os, census_row(&row));
+        by_os.set(os, census_row(&row));
     }
     let mut census = Json::obj();
     census.set("fleet", census_row(&report.sketch.census));

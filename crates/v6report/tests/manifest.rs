@@ -1,15 +1,14 @@
 //! Manifest stability and drift-gate integration tests.
 //!
 //! The canonical manifest's whole value is invariance: same seed ⇒ same
-//! bytes, no matter how many worker threads ran the fleet or how
-//! verbose the engine trace was. These tests pin that down, plus the
-//! drift gate on a genuinely impaired sweep and on the committed
-//! goldens themselves.
+//! bytes, no matter how many worker threads ran the fleet. These tests
+//! pin that down, plus the drift gate on a genuinely impaired sweep and
+//! on the committed goldens themselves.
 
 use v6fleet::{run_serial, FleetRunner};
 use v6report::{diff_manifests, Json, MatrixSpec, RunManifest};
 use v6testbed::scenario::FaultVariant;
-use v6testbed::{Scenario, TraceMode};
+use v6testbed::Scenario;
 
 /// A deliberately small but representative slice of the matrix: the
 /// first `n` cells cover the paper topology across poison policies and
@@ -34,23 +33,6 @@ fn manifest_bytes_identical_across_thread_counts() {
         serial.canonical(),
         parallel.canonical(),
         "1-thread and 4-thread fleets must serialize byte-identically"
-    );
-}
-
-#[test]
-fn manifest_bytes_identical_across_trace_modes() {
-    let spec = MatrixSpec {
-        base_seed: 0xB0B,
-        fault: FaultVariant::Clean,
-    };
-    let cells = subset(spec.base_seed, spec.fault, 12);
-    let runner = FleetRunner::new(2);
-    let off = runner.with_trace_mode(TraceMode::Off).run(&cells).report;
-    let full = runner.with_trace_mode(TraceMode::Full).run(&cells).report;
-    assert_eq!(
-        RunManifest::from_fleet(&spec, &cells, &off).canonical(),
-        RunManifest::from_fleet(&spec, &cells, &full).canonical(),
-        "trace verbosity must never leak into the manifest"
     );
 }
 

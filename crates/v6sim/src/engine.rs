@@ -479,11 +479,6 @@ impl Network {
         self.nodes.len() - 1
     }
 
-    /// The interned name of node `id`.
-    pub fn node_name(&self, id: NodeId) -> &str {
-        &self.names[id]
-    }
-
     fn port_is_free(&self, node: NodeId, port: u32) -> bool {
         self.links[node]
             .get(port as usize)

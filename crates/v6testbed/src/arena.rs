@@ -5,8 +5,9 @@
 //! NAT construction, zone wiring — all to run a ~40-virtual-second
 //! single-client cell and throw the testbed away. A [`CellArena`] keeps
 //! one built [`Testbed`] per distinct build configuration (topology ×
-//! poison × trace mode — six combinations in the paper matrix) and
+//! poison — six combinations in the paper matrix) and
 //! [recycles](Testbed::recycle) it between cells instead of rebuilding.
+//! Every cell runs untraced, so the trace mode is never part of a key.
 //!
 //! A cold run is the first use of a fresh arena, so warm and cold cells
 //! share one code path and differ only in how the testbed arrives.
@@ -22,37 +23,16 @@
 //! `&mut` borrow.
 
 use crate::scenario::{
-    cell_config, observe_cell, CellObservation, CellSpec, PoisonVariant, Scenario, ScenarioResult,
+    cell_config, observe_cell, CellObservation, PoisonVariant, Scenario, ScenarioResult,
     TopologyVariant,
 };
 use crate::topology::{Testbed, TestbedConfig};
-use v6sim::engine::TraceMode;
 
-/// Stable key for one build configuration. FNV-1a over the three
-/// build-time dimensions; everything else a cell varies is per-run
-/// state applied by [`observe_cell`].
-fn arena_key(topology: TopologyVariant, poison: PoisonVariant, trace: TraceMode) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in [
-        topology.label().as_bytes(),
-        poison.label().as_bytes(),
-        match trace {
-            TraceMode::Off => b"off".as_slice(),
-            TraceMode::Hops => b"hops".as_slice(),
-            TraceMode::Full => b"full".as_slice(),
-        },
-    ]
-    .into_iter()
-    .flatten()
-    {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
+/// One held testbed, keyed by the build dimensions it was built for;
+/// everything else a cell varies is per-run state applied by
+/// [`observe_cell`].
 struct ArenaSlot {
-    key: u64,
+    key: (TopologyVariant, PoisonVariant),
     config: TestbedConfig,
     tb: Testbed,
 }
@@ -61,9 +41,9 @@ struct ArenaSlot {
 ///
 /// ```
 /// use v6testbed::arena::CellArena;
-/// use v6testbed::scenario::{CellSpec, FaultVariant, OsProfileId, PoisonVariant, TopologyVariant};
+/// use v6testbed::scenario::{FaultVariant, OsProfileId, PoisonVariant, Scenario, TopologyVariant};
 ///
-/// let spec = CellSpec {
+/// let spec = Scenario {
 ///     os: OsProfileId(6), // macOS
 ///     topology: TopologyVariant::PaperDefault,
 ///     poison: PoisonVariant::WildcardA,
@@ -117,22 +97,17 @@ impl CellArena {
             .sum()
     }
 
-    /// A ready-to-run testbed for the given build dimensions: recycled
+    /// A ready-to-run testbed for `cell`'s build dimensions: recycled
     /// in place when a matching slot exists, built cold otherwise.
-    pub(crate) fn testbed(
-        &mut self,
-        topology: TopologyVariant,
-        poison: PoisonVariant,
-        trace: TraceMode,
-    ) -> &mut Testbed {
-        let key = arena_key(topology, poison, trace);
+    fn testbed(&mut self, cell: &Scenario) -> &mut Testbed {
+        let key = (cell.topology, cell.poison);
         let i = if let Some(i) = self.slots.iter().position(|s| s.key == key) {
             let slot = &mut self.slots[i];
             slot.tb.recycle(&slot.config);
             self.cells_warm += 1;
             i
         } else {
-            let config = cell_config(topology, poison, trace);
+            let config = cell_config(cell.topology, cell.poison);
             let tb = Testbed::build(config.clone());
             self.slots.push(ArenaSlot { key, config, tb });
             self.cells_cold += 1;
@@ -141,22 +116,20 @@ impl CellArena {
         &mut self.slots[i].tb
     }
 
-    /// Run a population cell — recycled when this arena already holds
-    /// its build configuration, built cold otherwise.
-    pub fn run_observation(&mut self, spec: CellSpec) -> CellObservation {
-        let tb = self.testbed(spec.topology, spec.poison, TraceMode::Off);
-        observe_cell(tb, spec.fault, spec.os.profile().clone(), spec.seed)
+    /// Run a cell and keep only its census row — the population hot
+    /// path, which takes no metrics snapshot.
+    pub fn run_observation(&mut self, cell: Scenario) -> CellObservation {
+        observe_cell(self.testbed(&cell), &cell)
     }
 
-    /// Run a matrix cell and collect the full result, metrics snapshot
-    /// included — the body behind [`Scenario::run_with_trace`].
-    pub fn run_with_trace(&mut self, s: &Scenario, trace: TraceMode) -> ScenarioResult {
-        let tb = self.testbed(s.topology, s.poison, trace);
-        let verdict = observe_cell(tb, s.fault, s.os.clone(), s.seed);
+    /// Run a cell and collect the full result, metrics snapshot
+    /// included — the body behind [`Scenario::run`] and the fleet's
+    /// matrix path.
+    pub fn run(&mut self, cell: Scenario) -> ScenarioResult {
+        let tb = self.testbed(&cell);
+        let verdict = observe_cell(tb, &cell);
         ScenarioResult {
-            label: s.label(),
-            seed: s.seed,
-            os: s.os.name.clone(),
+            scenario: cell,
             verdict,
             metrics: tb.net.metrics(),
         }

@@ -14,8 +14,9 @@
 //!   (SC24) methodology
 //! * [`experiments`] — one function per paper figure/table (see DESIGN.md's
 //!   experiment index)
-//! * [`scenario`] — the Fig. 4 matrix as enumerable, seedable
-//!   [`scenario::Scenario`] cells for the `v6fleet` runner
+//! * [`scenario`] — the Fig. 4 matrix as enumerable, seedable `Copy`
+//!   [`scenario::Scenario`] cells for the `v6fleet` runner (the
+//!   population sampler's [`scenario::CellSpec`] is the same type)
 //! * [`arena`] — warm-cell execution: per-worker reusable testbeds,
 //!   recycled between cells instead of rebuilt, byte-identical to cold
 
@@ -36,6 +37,3 @@ pub use scenario::{
     ScenarioResult, TopologyVariant,
 };
 pub use topology::{Testbed, TestbedConfig};
-/// Re-export of the engine's trace verbosity knob, so fleet callers can
-/// pick a mode without a direct `v6sim` dependency.
-pub use v6sim::engine::TraceMode;

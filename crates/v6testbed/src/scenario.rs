@@ -2,15 +2,17 @@
 //! fleet runner (`v6fleet`).
 //!
 //! A [`Scenario`] names one cell of the paper's Fig. 4 evaluation space:
-//! an OS profile, a topology variant (with or without the managed
-//! switch + Raspberry Pi), an IPv4 DNS intervention policy, and an RNG
-//! seed for the client. [`Scenario::run`] builds a fresh testbed, boots
-//! the client, browses the IPv4-only conference site and dual-stack
-//! ip6.me, and returns a plain-data [`ScenarioResult`]: the cell's
-//! [`CellObservation`] and the full [`MetricsSnapshot`]. Everything in
-//! the result is `Clone + Eq`, so two runs of the same scenario can be
-//! compared field-for-field — the property the fleet's determinism
-//! tests rely on.
+//! an interned OS profile, a topology variant (with or without the
+//! managed switch + Raspberry Pi), an IPv4 DNS intervention policy, a
+//! fault regime, and an RNG seed for the client. It is a 16-byte `Copy`
+//! value: the matrix enumerates it and the population sampler draws it
+//! ([`CellSpec`] is the same type). [`Scenario::run`] builds a fresh
+//! testbed, boots the client, browses the IPv4-only conference site and
+//! dual-stack ip6.me, and returns a plain-data [`ScenarioResult`]: the
+//! cell itself, its [`CellObservation`] and the full
+//! [`MetricsSnapshot`]. Everything in the result is `Clone + Eq`, so
+//! two runs of the same scenario can be compared field-for-field — the
+//! property the fleet's determinism tests rely on.
 
 use crate::arena::CellArena;
 use crate::census::accurate_counted;
@@ -241,52 +243,15 @@ impl OsProfileId {
     }
 
     /// Look an id up by profile display name — the inverse of
-    /// [`OsProfileId::name`], used when a name arrives over the wire
-    /// (e.g. a lab-daemon job spec) and must resolve to the interned
-    /// table or be rejected.
+    /// [`OsProfileId::name`]; `None` for a name not in the table.
     pub fn by_name(name: &str) -> Option<OsProfileId> {
         OsProfileId::all().find(|id| id.name() == name)
     }
 }
 
-/// A fully table-driven cell: every dimension is a `Copy` index or
-/// variant, the OS profile an id into the interned table. This is the
-/// unit the population sampler draws — a 16-byte value derived on the
-/// fly per sample, where a [`Scenario`] would clone profile strings for
-/// every one of a million draws.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CellSpec {
-    /// Interned OS profile under test.
-    pub os: OsProfileId,
-    /// Which build of the topology it attaches to.
-    pub topology: TopologyVariant,
-    /// The IPv4 DNS intervention in force.
-    pub poison: PoisonVariant,
-    /// The failure regime injected into the build.
-    pub fault: FaultVariant,
-    /// RNG seed for the client's stack.
-    pub seed: u64,
-}
-
-impl CellSpec {
-    /// Materialize the equivalent [`Scenario`] (clones the interned
-    /// profile — needed only when the full result is wanted).
-    pub fn to_scenario(self) -> Scenario {
-        Scenario {
-            os: self.os.profile().clone(),
-            topology: self.topology,
-            poison: self.poison,
-            fault: self.fault,
-            seed: self.seed,
-        }
-    }
-
-    /// Run the cell on a freshly built testbed and observe only the
-    /// compact census row. See [`Scenario::run_observation`].
-    pub fn run_observation(self) -> CellObservation {
-        CellArena::new().run_observation(self)
-    }
-}
+/// The population sampler's name for a cell: the same `Copy` value as
+/// [`Scenario`].
+pub type CellSpec = Scenario;
 
 /// Address family a task completed over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -318,11 +283,14 @@ impl PathFamily {
     }
 }
 
-/// One cell of the Fig. 4 evaluation matrix.
-#[derive(Debug, Clone)]
+/// One cell of the Fig. 4 evaluation matrix, and of a sampled
+/// population: every dimension is a `Copy` index or variant, the OS
+/// profile an id into the interned table, so a million sampled cells
+/// clone no profile strings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scenario {
-    /// The client under test.
-    pub os: OsProfile,
+    /// Interned OS profile of the client under test.
+    pub os: OsProfileId,
     /// Which build of the topology it attaches to.
     pub topology: TopologyVariant,
     /// The IPv4 DNS intervention in force.
@@ -349,7 +317,7 @@ impl Scenario {
         let mut out = Vec::new();
         for topology in TopologyVariant::ALL {
             for poison in PoisonVariant::ALL {
-                for os in OsProfile::all_paper_profiles() {
+                for os in OsProfileId::all() {
                     let seed = base_seed.wrapping_add(out.len() as u64);
                     out.push(Scenario {
                         os,
@@ -376,7 +344,7 @@ impl Scenario {
             "{}/{}/{}{}/seed{}",
             self.topology.label(),
             self.poison.label(),
-            self.os.name,
+            self.os.name(),
             fault,
             self.seed
         )
@@ -391,22 +359,16 @@ impl Scenario {
             "{}/{}/{}/seed{}",
             self.topology.label(),
             self.poison.label(),
-            self.os.name,
+            self.os.name(),
             self.seed
         )
     }
 
-    /// The compact table-driven form of this scenario — the inverse of
-    /// [`CellSpec::to_scenario`]. `None` when the OS profile is not in
-    /// the interned table (a hand-built profile has no id).
+    /// This cell as a [`CellSpec`] — always `Some`, since both names
+    /// denote one type. Kept because the benchmark harness
+    /// (`perfbench/src/layers.rs`) calls it.
     pub fn cell_spec(&self) -> Option<CellSpec> {
-        Some(CellSpec {
-            os: OsProfileId::by_name(&self.os.name)?,
-            topology: self.topology,
-            poison: self.poison,
-            fault: self.fault,
-            seed: self.seed,
-        })
+        Some(*self)
     }
 
     /// Stable 64-bit digest of the scenario's configuration — every
@@ -435,54 +397,36 @@ impl Scenario {
     /// Entirely driven by the virtual clock and the scenario seed: the
     /// result is a pure function of `self`, which is what lets the
     /// fleet runner execute scenarios on any thread in any order and
-    /// still aggregate a deterministic report.
-    ///
-    /// Fleet cells never read the frame trace, so this runs under
-    /// [`TraceMode::Hops`]; trace verbosity never perturbs the simulation
-    /// (the result is identical in every mode — see
-    /// [`Scenario::run_with_trace`] and the determinism tests), so the
-    /// cheaper mode is a pure win.
+    /// still aggregate a deterministic report. The testbed is the first
+    /// use of a fresh [`CellArena`]: a cold build.
     pub fn run(&self) -> ScenarioResult {
-        self.run_with_trace(TraceMode::Hops)
-    }
-
-    /// [`Scenario::run`] with an explicit engine trace mode — `Off` for
-    /// maximum-throughput sweeps, `Full` when the per-frame summaries are
-    /// wanted (figure regeneration, debugging a single cell). The testbed
-    /// is the first use of a fresh [`CellArena`]: a cold build.
-    pub fn run_with_trace(&self, trace: TraceMode) -> ScenarioResult {
-        CellArena::new().run_with_trace(self, trace)
+        CellArena::new().run(*self)
     }
 
     /// Run the cell on a freshly built testbed and collect only the
-    /// compact, `Copy` census row — no label string and no full
-    /// [`MetricsSnapshot`] (which clones every node name and counter
-    /// map). It equals [`Scenario::run`]'s `verdict`: both come from the
-    /// one classification in `observe_cell`.
+    /// compact, `Copy` census row — no [`MetricsSnapshot`] (which clones
+    /// every node name and counter map). It equals [`Scenario::run`]'s
+    /// `verdict`: both come from the one classification in
+    /// `observe_cell`.
     pub fn run_observation(&self) -> CellObservation {
-        let mut arena = CellArena::new();
-        let tb = arena.testbed(self.topology, self.poison, TraceMode::Off);
-        observe_cell(tb, self.fault, self.os.clone(), self.seed)
+        CellArena::new().run_observation(*self)
     }
 }
 
-/// The [`TestbedConfig`] a cell's (topology, poison, trace) dimensions
+/// The [`TestbedConfig`] a cell's (topology, poison) dimensions
 /// resolve to. These are exactly the build-time knobs — everything else
 /// a cell varies (fault plan, NAT64 cap, host profile, seed) is applied
 /// per run by [`observe_cell`], which is what makes testbeds reusable
-/// across cells that share this config.
-pub(crate) fn cell_config(
-    topology: TopologyVariant,
-    poison: PoisonVariant,
-    trace: TraceMode,
-) -> TestbedConfig {
+/// across cells that share this config. Cells run untraced: no result
+/// carries the frame trace.
+pub(crate) fn cell_config(topology: TopologyVariant, poison: PoisonVariant) -> TestbedConfig {
     let managed = topology == TopologyVariant::PaperDefault;
     TestbedConfig {
         managed_switch: managed,
         pi_dhcp: managed,
         poison: poison.policy(),
         block_v4_internet: false,
-        trace,
+        trace: TraceMode::Off,
     }
 }
 
@@ -493,12 +437,10 @@ pub(crate) fn cell_config(
 /// runs exactly this body, in exactly this order — the conditional
 /// fault install mirrors the fact that a fresh build never sees
 /// `set_fault_plan` for a no-op plan, so `fault_active` agrees.
-pub(crate) fn observe_cell(
-    tb: &mut Testbed,
-    fault: FaultVariant,
-    os: OsProfile,
-    seed: u64,
-) -> CellObservation {
+pub(crate) fn observe_cell(tb: &mut Testbed, cell: &Scenario) -> CellObservation {
+    let Scenario {
+        os, fault, seed, ..
+    } = *cell;
     let plan = fault.plan(seed);
     if !plan.is_noop() {
         tb.net.set_fault_plan(plan);
@@ -513,7 +455,7 @@ pub(crate) fn observe_cell(
         // as a cold build.
         tb.pi_server().install_global_dns(delegated_internet_dns());
     }
-    let id = tb.set_host_seeded(os, seed);
+    let id = tb.set_host_seeded(os.profile().clone(), seed);
     tb.boot();
     // The workload names are constants; parse them once per process and
     // hand out clones (a DnsName clone is a reference-count bump).
@@ -600,12 +542,8 @@ pub struct CellObservation {
 /// Everything one scenario run produced — plain data, `Clone + Eq`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScenarioResult {
-    /// [`Scenario::label`] of the run.
-    pub label: String,
-    /// The client seed.
-    pub seed: u64,
-    /// OS profile name of the client.
-    pub os: String,
+    /// The cell that ran.
+    pub scenario: Scenario,
     /// The cell's classification and census row.
     pub verdict: CellObservation,
     /// Full engine + per-node counter snapshot at the end of the run.
@@ -617,7 +555,7 @@ impl ScenarioResult {
     pub fn render(&self) -> String {
         format!(
             "{:<48} rfc8925={:<5} v4-path={:<5} sc24=via-{:<4} ip6me=via-{:<4} intervened={}",
-            self.label,
+            self.scenario.label(),
             self.verdict.rfc8925_engaged,
             self.verdict.has_v4,
             self.verdict.sc24.label(),
@@ -631,13 +569,32 @@ impl ScenarioResult {
 mod tests {
     use super::*;
 
+    fn os(name: &str) -> OsProfileId {
+        OsProfileId::by_name(name).expect("paper profile")
+    }
+
+    fn cell(
+        name: &str,
+        topology: TopologyVariant,
+        poison: PoisonVariant,
+        fault: FaultVariant,
+        seed: u64,
+    ) -> Scenario {
+        Scenario {
+            os: os(name),
+            topology,
+            poison,
+            fault,
+            seed,
+        }
+    }
+
     #[test]
     fn matrix_covers_the_full_cross_product() {
         let m = Scenario::matrix(1);
-        let profiles = OsProfile::all_paper_profiles().len();
         assert_eq!(
             m.len(),
-            profiles * TopologyVariant::ALL.len() * PoisonVariant::ALL.len()
+            os_profiles().len() * TopologyVariant::ALL.len() * PoisonVariant::ALL.len()
         );
         // Labels are unique (they key the fleet report).
         let mut labels: Vec<String> = m.iter().map(Scenario::label).collect();
@@ -659,84 +616,45 @@ mod tests {
             assert_ne!(c.digest(), f.digest(), "config digest does not");
             assert_eq!(c.digest(), c.digest(), "digest is a pure function");
         }
-        let mut other_seed = clean[0].clone();
+        let mut other_seed = clean[0];
         other_seed.seed += 1;
         assert_ne!(clean[0].digest(), other_seed.digest());
     }
 
     #[test]
     fn same_scenario_same_result() {
-        let s = Scenario {
-            os: OsProfile::nintendo_switch(),
-            topology: TopologyVariant::PaperDefault,
-            poison: PoisonVariant::WildcardA,
-            fault: FaultVariant::Clean,
-            seed: 42,
-        };
+        let s = cell(
+            "Nintendo Switch",
+            TopologyVariant::PaperDefault,
+            PoisonVariant::WildcardA,
+            FaultVariant::Clean,
+            42,
+        );
         let a = s.run();
         let b = s.run();
         assert_eq!(a, b);
+        assert_eq!(a.scenario, s, "the result carries its cell");
         assert!(a.verdict.intervened, "v4-only console gets the page");
         assert_eq!(a.verdict.sc24, PathFamily::V4);
     }
 
     #[test]
     fn observation_equals_the_full_result_verdict() {
-        // Across a spread of cells — both topologies, both trace modes,
-        // an RFC 8925 client, a v4-only console, and every fault kind —
-        // the cheap observation path must agree field-for-field with the
-        // verdict of the full materialized result (which runs under
-        // `Hops`, the observation under `Off`).
+        // Across a spread of cells — both topologies, an RFC 8925
+        // client, a v4-only console, and every fault kind — the cheap
+        // observation path must agree field-for-field with the verdict
+        // of the full materialized result.
+        use FaultVariant::*;
+        use PoisonVariant::{Off, Rpz, WildcardA};
+        use TopologyVariant::{PaperDefault, RawGateway};
         let cells = [
-            Scenario {
-                os: OsProfile::macos(),
-                topology: TopologyVariant::PaperDefault,
-                poison: PoisonVariant::WildcardA,
-                fault: FaultVariant::Clean,
-                seed: 11,
-            },
-            Scenario {
-                os: OsProfile::nintendo_switch(),
-                topology: TopologyVariant::RawGateway,
-                poison: PoisonVariant::Off,
-                fault: FaultVariant::Clean,
-                seed: 12,
-            },
-            Scenario {
-                os: OsProfile::windows_10(),
-                topology: TopologyVariant::PaperDefault,
-                poison: PoisonVariant::Rpz,
-                fault: FaultVariant::LossyUplink,
-                seed: 13,
-            },
-            Scenario {
-                os: OsProfile::macos(),
-                topology: TopologyVariant::PaperDefault,
-                poison: PoisonVariant::WildcardA,
-                fault: FaultVariant::Nat64Exhaustion,
-                seed: 14,
-            },
-            Scenario {
-                os: OsProfile::macos(),
-                topology: TopologyVariant::PaperDefault,
-                poison: PoisonVariant::WildcardA,
-                fault: FaultVariant::BrokenDelegation,
-                seed: 15,
-            },
-            Scenario {
-                os: OsProfile::windows_10(),
-                topology: TopologyVariant::PaperDefault,
-                poison: PoisonVariant::WildcardA,
-                fault: FaultVariant::Dns64Outage,
-                seed: 16,
-            },
-            Scenario {
-                os: OsProfile::nintendo_switch(),
-                topology: TopologyVariant::RawGateway,
-                poison: PoisonVariant::Rpz,
-                fault: FaultVariant::Nat64Exhaustion,
-                seed: 17,
-            },
+            cell("macOS", PaperDefault, WildcardA, Clean, 11),
+            cell("Nintendo Switch", RawGateway, Off, Clean, 12),
+            cell("Windows 10", PaperDefault, Rpz, LossyUplink, 13),
+            cell("macOS", PaperDefault, WildcardA, Nat64Exhaustion, 14),
+            cell("macOS", PaperDefault, WildcardA, BrokenDelegation, 15),
+            cell("Windows 10", PaperDefault, WildcardA, Dns64Outage, 16),
+            cell("Nintendo Switch", RawGateway, Rpz, Nat64Exhaustion, 17),
         ];
         for s in cells {
             let full = s.run();
@@ -746,12 +664,45 @@ mod tests {
     }
 
     #[test]
-    fn cell_spec_round_trips_through_the_interned_table() {
+    fn trace_mode_never_perturbs_a_cell() {
+        // Trace verbosity is a build input of the testbed, and pure
+        // observation: a cell observed on testbeds built `Full`, `Hops`
+        // and `Off` gives the same census row and the same metrics
+        // snapshot. One cell per (topology, poison) pair, each with a
+        // different OS, plus a faulted cell.
+        let mut cells: Vec<Scenario> = Scenario::matrix(0x7ACE).into_iter().step_by(12).collect();
+        assert_eq!(
+            cells.len(),
+            TopologyVariant::ALL.len() * PoisonVariant::ALL.len()
+        );
+        cells.push(Scenario {
+            fault: FaultVariant::LossyUplink,
+            ..cells[0]
+        });
+        for s in cells {
+            let [full, hops, off] =
+                [TraceMode::Full, TraceMode::Hops, TraceMode::Off].map(|trace| {
+                    let mut tb = Testbed::build(TestbedConfig {
+                        trace,
+                        ..cell_config(s.topology, s.poison)
+                    });
+                    let verdict = observe_cell(&mut tb, &s);
+                    (verdict, tb.net.metrics())
+                });
+            assert_eq!(full, hops, "{}: Full vs Hops diverged", s.label());
+            assert_eq!(full, off, "{}: Full vs Off diverged", s.label());
+        }
+    }
+
+    #[test]
+    fn cell_spec_is_the_scenario_and_ids_round_trip() {
         let table = os_profiles();
         assert_eq!(table.len(), OsProfile::all_paper_profiles().len());
         for id in OsProfileId::all() {
             assert_eq!(id.name(), table[id.0 as usize].name);
+            assert_eq!(OsProfileId::by_name(id.name()), Some(id));
         }
+        assert_eq!(OsProfileId::by_name("BeOS"), None);
         let spec = CellSpec {
             os: OsProfileId(6), // macOS in table order
             topology: TopologyVariant::PaperDefault,
@@ -760,10 +711,8 @@ mod tests {
             seed: 42,
         };
         assert_eq!(spec.os.name(), "macOS");
-        let s = spec.to_scenario();
-        assert_eq!(s.os.name, "macOS");
-        assert_eq!(s.seed, 42);
-        assert_eq!(spec.run_observation(), s.run_observation());
+        assert_eq!(spec.cell_spec(), Some(spec));
+        assert_eq!(spec.label(), "paper/wildcard-a/macOS/seed42");
     }
 
     #[test]
@@ -771,13 +720,13 @@ mod tests {
         // A v6-only (RFC 8925) client resolving through the v4-only-glue
         // authoritative fails sc24 with `no-aaaa-glue` — a classified
         // failure, not a timeout — while dual-glue ip6.me keeps working.
-        let s = Scenario {
-            os: OsProfile::macos(),
-            topology: TopologyVariant::PaperDefault,
-            poison: PoisonVariant::WildcardA,
-            fault: FaultVariant::BrokenDelegation,
-            seed: 21,
-        };
+        let s = cell(
+            "macOS",
+            TopologyVariant::PaperDefault,
+            PoisonVariant::WildcardA,
+            FaultVariant::BrokenDelegation,
+            21,
+        );
         let o = s.run_observation();
         assert_eq!(o.dns_failure, Some(ResolutionFailure::NoAaaaGlue));
         assert_eq!(o.sc24, PathFamily::Fail, "sc24 unreachable, classified");
@@ -785,7 +734,7 @@ mod tests {
         // A v4-only console still gets the wildcard-A intervention: the
         // poisoned resolver answers A locally, never touching the tree.
         let s4 = Scenario {
-            os: OsProfile::nintendo_switch(),
+            os: os("Nintendo Switch"),
             seed: 22,
             ..s
         };
@@ -796,13 +745,13 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_sees_every_device() {
-        let s = Scenario {
-            os: OsProfile::macos(),
-            topology: TopologyVariant::PaperDefault,
-            poison: PoisonVariant::WildcardA,
-            fault: FaultVariant::Clean,
-            seed: 7,
-        };
+        let s = cell(
+            "macOS",
+            TopologyVariant::PaperDefault,
+            PoisonVariant::WildcardA,
+            FaultVariant::Clean,
+            7,
+        );
         let r = s.run();
         let m = &r.metrics;
         let gw = m.node("5g-gw").expect("gateway row");

@@ -38,8 +38,8 @@ pub struct TestbedConfig {
     /// Fig. 8 knob: block legacy IPv4 internet at the gateway.
     pub block_v4_internet: bool,
     /// How much the engine records per delivered frame. Figure/golden
-    /// paths want [`TraceMode::Full`] (the default); fleet sweeps run
-    /// [`TraceMode::Hops`] or [`TraceMode::Off`] for throughput.
+    /// paths want [`TraceMode::Full`] (the default); fleet cells run
+    /// [`TraceMode::Off`], since no fleet result carries a trace.
     pub trace: TraceMode,
 }
 

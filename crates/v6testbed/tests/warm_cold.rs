@@ -13,7 +13,6 @@
 //! `tests/pool_steady_state.rs`.
 
 use proptest::prelude::*;
-use v6sim::engine::TraceMode;
 use v6testbed::scenario::{CellSpec, FaultVariant, OsProfileId, PoisonVariant, TopologyVariant};
 use v6testbed::CellArena;
 
@@ -61,11 +60,11 @@ proptest! {
 }
 
 /// Full-result differential: the matrix path carries much more state
-/// than a census row — label, verdict, per-node census entry, and the
-/// complete engine metrics snapshot (frame-pool counters included). One
+/// than a census row — the cell, its verdict, and the complete engine
+/// metrics snapshot (frame-pool counters included). One
 /// warm run per fault variant on a deliberately dirty arena must
-/// reproduce the cold [`ScenarioResult`] field for field, under the
-/// traced mode the fleet runner actually uses.
+/// reproduce the cold [`ScenarioResult`] field for field, on the one
+/// untraced path the fleet runner uses.
 #[test]
 fn warm_scenario_results_equal_cold_across_fault_variants() {
     let mut arena = CellArena::new();
@@ -79,11 +78,10 @@ fn warm_scenario_results_equal_cold_across_fault_variants() {
             fault,
             seed: 0xC0FFEE + i as u64,
         };
-        let scenario = spec.to_scenario();
         // Dirty the slot first so the diffed run is genuinely warm.
-        arena.run_with_trace(&scenario, TraceMode::Hops);
-        let warm = arena.run_with_trace(&scenario, TraceMode::Hops);
-        let cold = scenario.run_with_trace(TraceMode::Hops);
+        arena.run(spec);
+        let warm = arena.run(spec);
+        let cold = spec.run();
         assert_eq!(warm, cold, "warm != cold for fault {:?}", fault);
     }
     assert_eq!(arena.cells_cold(), 1, "one build config, one cold build");

@@ -41,11 +41,6 @@ impl MacAddr {
         *self == Self::BROADCAST
     }
 
-    /// True if the locally-administered (U/L) bit is set.
-    pub fn is_locally_administered(&self) -> bool {
-        self.0[0] & 0x02 != 0
-    }
-
     /// The Ethernet multicast address for an IPv6 multicast destination
     /// (RFC 2464 §7): `33:33` followed by the low 32 bits of the group.
     pub fn for_ipv6_multicast(group: Ipv6Addr) -> MacAddr {

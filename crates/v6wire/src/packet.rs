@@ -59,14 +59,6 @@ pub struct ParsedFrame {
 }
 
 impl ParsedFrame {
-    /// The IPv6 source, if this is an IPv6 frame.
-    pub fn v6_src(&self) -> Option<Ipv6Addr> {
-        match &self.l3 {
-            L3::V6(p) => Some(p.src),
-            _ => None,
-        }
-    }
-
     /// The IPv4 source, if this is an IPv4 frame.
     pub fn v4_src(&self) -> Option<Ipv4Addr> {
         match &self.l3 {

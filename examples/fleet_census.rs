@@ -92,7 +92,7 @@ fn fault_sweep(clean: &FleetReport, threads: usize) {
             "{:<28} {:>5} {:>10} {:>10} {:>8}",
             "os profile", "runs", "intervened", "(clean)", "degraded"
         );
-        let clean_by_os: Vec<(String, FleetCensus)> = clean.census_by_os();
+        let clean_by_os: Vec<(&str, FleetCensus)> = clean.census_by_os();
         for (os, row) in impaired.census_by_os() {
             let clean_row = clean_by_os
                 .iter()

@@ -8,10 +8,12 @@ verify:
     cargo build --release
     cargo test -q
 
-# The fleet runner's own suite: crate tests, the cross-thread
+# The fleet runner's own suite: crate tests, the warm-vs-cold arena
+# differential (the one path fleet cells run on), the cross-thread
 # determinism integration tests, and the golden Fig. 6 trace.
 fleet:
     cargo test -p v6fleet -q
+    cargo test -p v6testbed -q --test warm_cold
     cargo test -q --test fleet
     cargo test -q --test golden_trace
 

@@ -30,7 +30,7 @@ fn sweep(fault: FaultVariant) -> v6fleet::FleetReport {
 fn lossy_uplink_sweep_is_deterministic_and_accounted() {
     let report = sweep(FaultVariant::LossyUplink);
     for r in &report.results {
-        assert!(r.label.contains("lossy-uplink"));
+        assert!(r.scenario.label().contains("lossy-uplink"));
         let f = &r.metrics.faults;
         // 25‰ loss over a browse workload's uplink traffic must bite
         // somewhere in the sweep; per-run it may round to zero (and fast
@@ -41,7 +41,7 @@ fn lossy_uplink_sweep_is_deterministic_and_accounted() {
                 + f.total_dropped()
                 + r.metrics.engine.frames_dropped_unlinked,
             "conservation violated in {}",
-            r.label
+            r.scenario.label()
         );
     }
     let total_dropped: u64 = report
@@ -91,7 +91,12 @@ fn nat64_exhaustion_sweep_is_deterministic_and_accounted() {
     // No link impairment is installed for this variant: the damage is in
     // the device, not on the wire.
     for r in &report.results {
-        assert_eq!(r.metrics.faults.total_dropped(), 0, "{}", r.label);
+        assert_eq!(
+            r.metrics.faults.total_dropped(),
+            0,
+            "{}",
+            r.scenario.label()
+        );
     }
     assert!(report.census.degraded > 0);
 }
@@ -109,7 +114,12 @@ fn clean_variant_is_the_identity() {
     let b = run_serial(&clean);
     assert_eq!(a, b);
     for r in &a.results {
-        assert_eq!(r.metrics.faults, Default::default(), "{}", r.label);
+        assert_eq!(
+            r.metrics.faults,
+            Default::default(),
+            "{}",
+            r.scenario.label()
+        );
     }
     assert_eq!(a.census.degraded, 0);
 }
